@@ -53,14 +53,6 @@ DEFAULT_DIPOLE = DipoleSpec(mu=debye(2.31))
 DEFAULT_MEDIUM_INDEX = 2.4
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    return repr(float(value))
-
-
 def _json_safe(value):
     if isinstance(value, (float, np.floating)):
         v = float(value)
@@ -70,18 +62,42 @@ def _json_safe(value):
     return value
 
 
-def _write_table(path: str, columns, rows, fmt: str) -> None:
+def _column_text(values: np.ndarray):
+    """Shortest round-trip text of every number in a numeric column."""
+    return map(repr, values.tolist())
+
+
+def _column_json(values: np.ndarray) -> list:
+    """JSON cells of a numeric column; non-finite floats become null."""
+    cells = values.tolist()
+    if values.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = None
+    return cells
+
+
+def _column_formatter(fmt: str):
+    return _column_text if fmt == "csv" else _column_json
+
+
+def _write_table(path: str, columns: dict, fmt: str) -> None:
+    """Write named columns as a CSV or JSON table, formatting per column.
+
+    A numpy array column is formatted in one pass; any other sequence
+    holds ready cells (text for CSV, JSON values for JSON).
+    """
+    format_column = _column_formatter(fmt)
+    cells = [
+        format_column(col) if isinstance(col, np.ndarray) else col
+        for col in columns.values()
+    ]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            writer.writerows(zip(*cells))
     else:
-        doc = {
-            "columns": list(columns),
-            "rows": [[_json_safe(v) for v in row] for row in rows],
-        }
+        doc = {"columns": list(columns), "rows": list(zip(*cells))}
         with open(path, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -128,30 +144,24 @@ def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
         numerics=cfg.numerics,
         workers=threads,
     )
-    rows = []
+    volumes = []
     for r in results:
         v_norm = r.v_norm
         if v_norm is None and r.g > 0.0:
             v_norm = mode_volume_from_coupling(
                 r.g, dipole, base.omega, units="lambda_n3", medium_index=medium
             )
-        rows.append(
-            [
-                to_ghz(r.g),
-                v_norm if v_norm is not None else float("nan"),
-                r.beta,
-                r.beta_wg,
-                r.indist,
-                r.cooperativity,
-                r.status,
-            ]
-        )
-    _write_table(
-        os.path.join(out, _table_name("fom_sweep", fmt)),
-        ["g_GHz", "V_lambda_n3", "beta", "beta_wg", "indist", "cooperativity", "status"],
-        rows,
-        fmt,
-    )
+        volumes.append(v_norm if v_norm is not None else float("nan"))
+    columns = {
+        "g_GHz": to_ghz(np.array([r.g for r in results])),
+        "V_lambda_n3": np.array(volumes),
+        "beta": np.array([r.beta for r in results]),
+        "beta_wg": np.array([r.beta_wg for r in results]),
+        "indist": np.array([r.indist for r in results]),
+        "cooperativity": np.array([r.cooperativity for r in results]),
+        "status": [r.status for r in results],
+    }
+    _write_table(os.path.join(out, _table_name("fom_sweep", fmt)), columns, fmt)
 
 
 def cmd_spectrum(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
@@ -159,16 +169,11 @@ def cmd_spectrum(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     probe = cfg.require("probe", "spectrum")
     if cfg.spin is not None:
         down, up = spin_spectra(params, cfg.spin, probe)
-        columns = ["detuning_GHz", "R_down", "R_up"]
-        rows = [
-            [to_ghz(d), rd, ru]
-            for d, rd, ru in zip(probe, down.values, up.values)
-        ]
+        columns = {"detuning_GHz": to_ghz(probe), "R_down": down.values, "R_up": up.values}
     else:
         spec = reflectivity(params, -params.delta_ca, probe)
-        columns = ["detuning_GHz", "R"]
-        rows = [[to_ghz(d), v] for d, v in zip(probe, spec.values)]
-    _write_table(os.path.join(out, _table_name("spectrum", fmt)), columns, rows, fmt)
+        columns = {"detuning_GHz": to_ghz(probe), "R": spec.values}
+    _write_table(os.path.join(out, _table_name("spectrum", fmt)), columns, fmt)
 
 
 def cmd_contrast(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
@@ -176,46 +181,31 @@ def cmd_contrast(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     spin = cfg.require("spin", "contrast")
     detunings = cfg.require("contrast_detunings", "contrast")
     curve = contrast_curve(params, spin, detunings, probe_policy=cfg.probe_policy)
-    rows = [
-        [to_ghz(d), to_ghz(p), c, a]
-        for d, p, c, a in zip(
-            curve.cavity_detunings, curve.best_probe, curve.contrast, curve.abs_diff
-        )
-    ]
-    _write_table(
-        os.path.join(out, _table_name("contrast", fmt)),
-        ["cavity_detuning_GHz", "probe_GHz", "contrast", "abs_diff"],
-        rows,
-        fmt,
-    )
+    columns = {
+        "cavity_detuning_GHz": to_ghz(curve.cavity_detunings),
+        "probe_GHz": to_ghz(curve.best_probe),
+        "contrast": curve.contrast,
+        "abs_diff": curve.abs_diff,
+    }
+    _write_table(os.path.join(out, _table_name("contrast", fmt)), columns, fmt)
 
 
 def cmd_modevol(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     grid = _load_field(cfg, "modevol")
     res = fieldgrid.mode_volume(grid)
-    columns = [
-        "V_m3",
-        "V_lambda_n3",
-        "argmax_ix",
-        "argmax_iy",
-        "argmax_iz",
-        "argmax_x_m",
-        "argmax_y_m",
-        "argmax_z_m",
-        "max_energy_density",
-    ]
-    row = [
-        res.v_m3,
-        res.v_norm,
-        res.argmax_index[0],
-        res.argmax_index[1],
-        res.argmax_index[2],
-        res.argmax_position[0],
-        res.argmax_position[1],
-        res.argmax_position[2],
-        res.max_energy_density,
-    ]
-    _write_table(os.path.join(out, _table_name("modevol", fmt)), columns, [row], fmt)
+    row = {
+        "V_m3": res.v_m3,
+        "V_lambda_n3": res.v_norm,
+        "argmax_ix": res.argmax_index[0],
+        "argmax_iy": res.argmax_index[1],
+        "argmax_iz": res.argmax_index[2],
+        "argmax_x_m": res.argmax_position[0],
+        "argmax_y_m": res.argmax_position[1],
+        "argmax_z_m": res.argmax_position[2],
+        "max_energy_density": res.max_energy_density,
+    }
+    columns = {name: np.array([value]) for name, value in row.items()}
+    _write_table(os.path.join(out, _table_name("modevol", fmt)), columns, fmt)
 
 
 def cmd_gmap(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
@@ -223,22 +213,16 @@ def cmd_gmap(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     dipole = cfg.dipole or DEFAULT_DIPOLE
     field = fieldgrid.g_field(grid, dipole)
     nx, ny, nz = field.shape
-    xs, ys, zs = field.axes()
-    g_ghz = to_ghz(1.0) * field.values.ravel(order="F")
-    mask = field.dielectric_mask.ravel(order="F").astype(int)
-    rows = zip(
-        np.tile(xs, ny * nz),
-        np.tile(np.repeat(ys, nx), nz),
-        np.repeat(zs, nx * ny),
-        g_ghz,
-        mask,
-    )
-    _write_table(
-        os.path.join(out, _table_name("gmap", fmt)),
-        ["x_m", "y_m", "z_m", "g_GHz", "dielectric"],
-        rows,
-        fmt,
-    )
+    # only nx + ny + nz coordinates are distinct: format each once, then tile
+    xs, ys, zs = (list(_column_formatter(fmt)(a)) for a in field.axes())
+    columns = {
+        "x_m": xs * (ny * nz),
+        "y_m": [y for y in ys for _ in range(nx)] * nz,
+        "z_m": [z for z in zs for _ in range(nx * ny)],
+        "g_GHz": to_ghz(1.0) * field.values.ravel(order="F"),
+        "dielectric": field.dielectric_mask.ravel(order="F").astype(int),
+    }
+    _write_table(os.path.join(out, _table_name("gmap", fmt)), columns, fmt)
 
 
 def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
@@ -249,15 +233,13 @@ def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     curve = median_vs_D_curve(
         field, settings.diameters, center=settings.center, plane=settings.plane
     )
-    _write_table(
-        os.path.join(out, _table_name("implant_median", fmt)),
-        ["D_nm", "median_GHz", "p40_GHz", "p60_GHz"],
-        [
-            [d * 1e9, to_ghz(m), to_ghz(p40), to_ghz(p60)]
-            for d, m, p40, p60 in curve
-        ],
-        fmt,
-    )
+    columns = {
+        "D_nm": curve[:, 0] * 1e9,
+        "median_GHz": to_ghz(curve[:, 1]),
+        "p40_GHz": to_ghz(curve[:, 2]),
+        "p60_GHz": to_ghz(curve[:, 3]),
+    }
+    _write_table(os.path.join(out, _table_name("implant_median", fmt)), columns, fmt)
     violin_d = settings.violin_diameter
     if violin_d is None:
         violin_d = float(settings.diameters.max())
@@ -266,12 +248,11 @@ def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
         ImplantRegion(diameter=violin_d, center=settings.center, plane=settings.plane),
     )
     violin = violin_export(dist, n_bins=settings.bins)
-    _write_table(
-        os.path.join(out, _table_name("implant_violin", fmt)),
-        ["bin_center_GHz", "density"],
-        [[to_ghz(c), v / to_ghz(1.0)] for c, v in zip(violin.bin_centers, violin.density)],
-        fmt,
-    )
+    columns = {
+        "bin_center_GHz": to_ghz(violin.bin_centers),
+        "density": violin.density / to_ghz(1.0),
+    }
+    _write_table(os.path.join(out, _table_name("implant_violin", fmt)), columns, fmt)
     summary = {
         "D_nm": violin_d * 1e9,
         "center_x_m": dist.center[0],

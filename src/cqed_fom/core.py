@@ -21,7 +21,6 @@ Superoperators act on column-stacked density matrices,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np

@@ -19,8 +19,12 @@ Binary format (extension ``.fgrd``, little endian)
     11 float64  nx, ny, nz, dx, dy, dz, origin_x, origin_y, origin_z,
                 wavelength, n_ref
     nx*ny*nz float64           eps, x-fastest voxel order
-    nx*ny*nz * 6 float64       Ex_re, Ex_im, Ey_re, Ey_im, Ez_re, Ez_im
-                               per voxel, x-fastest voxel order
+    nx*ny*nz * 3 complex128    Ex, Ey, Ez per voxel, x-fastest voxel order
+
+The field payload is byte for byte little-endian complex128 (each value
+is its real then its imaginary float64), so it is read and written one
+z-slab at a time: loading needs the eps and field arrays plus one z-slab
+of memory, and checks the file size before reading any payload.
 
 CSV format
 ----------
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -56,6 +61,11 @@ def _check_geometry(dx: float, dy: float, dz: float, origin) -> np.ndarray:
     if origin.shape != (3,) or not np.all(np.isfinite(origin)):
         raise ValueError("origin must be a finite 3-vector")
     return origin
+
+
+def _intensity(efield: np.ndarray) -> np.ndarray:
+    """|E|^2 per voxel; every caller shares this expression, so bits agree."""
+    return np.sum(np.abs(efield) ** 2, axis=-1)
 
 
 @dataclass
@@ -83,7 +93,8 @@ class FieldGrid:
         self.origin = _check_geometry(self.dx, self.dy, self.dz, self.origin)
         if not np.all(np.isfinite(self.eps)):
             raise ValueError("eps contains non-finite values")
-        if not np.all(np.isfinite(self.efield.view(float))):
+        # x-slabs are contiguous in C order and keep every temporary small
+        if not all(np.isfinite(e).all() for e in self.efield):
             raise ValueError("efield contains non-finite values")
         if self.eps.min() < 1.0 - 1e-9:
             raise ValueError(f"relative permittivity below 1: min eps = {self.eps.min()}")
@@ -91,7 +102,7 @@ class FieldGrid:
             raise ValueError("wavelength must be finite and > 0")
         if not np.isfinite(self.n_ref) or self.n_ref <= 0.0:
             raise ValueError("n_ref must be finite and > 0")
-        if self.energy_density().max() <= 0.0:
+        if not any(np.any(eps * _intensity(e) > 0.0) for eps, e in zip(self.eps, self.efield)):
             raise ValueError("mode field is identically zero")
 
     @property
@@ -113,7 +124,7 @@ class FieldGrid:
 
     def energy_density(self) -> np.ndarray:
         """eps(r) |E(r)|^2 per voxel (unnormalized)."""
-        return self.eps * np.sum(np.abs(self.efield) ** 2, axis=-1)
+        return self.eps * _intensity(self.efield)
 
     def dielectric_mask(self) -> np.ndarray:
         return self.eps > DIELECTRIC_EPS_THRESHOLD
@@ -156,6 +167,12 @@ class ScalarField:
 # binary I/O
 
 _HEADER = struct.Struct("<11d")
+_PREFIX_SIZE = 4 + 2 + _HEADER.size  # magic, version, header
+
+
+def _file_slab(efield: np.ndarray, k: int) -> np.ndarray:
+    """Field values of z-slab k as a (ny, nx, 3) view, in file order."""
+    return efield[:, :, k, :].transpose(1, 0, 2)
 
 
 def save_grid_binary(grid: FieldGrid, path) -> None:
@@ -176,51 +193,52 @@ def save_grid_binary(grid: FieldGrid, path) -> None:
                 grid.n_ref,
             )
         )
-        fh.write(grid.eps.ravel(order="F").tobytes())
-        e = grid.efield
-        inter = np.empty((nx * ny * nz, 6), dtype=np.float64)
-        flat = e.reshape(-1, 3, order="F")  # x-fastest over voxels
-        inter[:, 0::2] = flat.real
-        inter[:, 1::2] = flat.imag
-        fh.write(inter.tobytes())
+        fh.write(np.asarray(grid.eps, dtype="<f8").tobytes(order="F"))
+        for k in range(nz):
+            fh.write(np.ascontiguousarray(_file_slab(grid.efield, k), dtype="<c16"))
 
 
 def load_grid_binary(path) -> FieldGrid:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 + 2 + _HEADER.size:
-        raise GridFormatError(f"{path}: file shorter than the fixed header")
-    if raw[:4] != MAGIC:
-        raise GridFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != VERSION:
-        raise GridFormatError(f"{path}: unsupported format version {version}")
-    header = _HEADER.unpack_from(raw, 6)
-    fnx, fny, fnz, dx, dy, dz, ox, oy, oz, wavelength, n_ref = header
-    dims = []
-    for name, value in (("nx", fnx), ("ny", fny), ("nz", fnz)):
-        if not value.is_integer() or value < 1:
-            raise GridFormatError(f"{path}: non-integral dimension {name}={value}")
-        dims.append(int(value))
-    nx, ny, nz = dims
-    n_vox = nx * ny * nz
-    expected = 4 + 2 + _HEADER.size + 8 * n_vox + 48 * n_vox
-    if len(raw) != expected:
-        raise GridFormatError(
-            f"{path}: payload size mismatch, expected {expected} bytes for"
-            f" {nx}x{ny}x{nz} voxels, found {len(raw)}"
-        )
-    off = 4 + 2 + _HEADER.size
-    eps = np.frombuffer(raw, dtype="<f8", count=n_vox, offset=off)
-    # C-contiguous copies keep reductions bit-identical to freshly built grids.
-    eps = np.ascontiguousarray(eps.reshape((nx, ny, nz), order="F"))
-    off += 8 * n_vox
-    inter = np.frombuffer(raw, dtype="<f8", count=6 * n_vox, offset=off)
-    inter = inter.reshape(n_vox, 6)
-    flat = inter[:, 0::2] + 1j * inter[:, 1::2]
-    efield = np.ascontiguousarray(flat.reshape((nx, ny, nz, 3), order="F"))
-    if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(inter))):
-        raise GridFormatError(f"{path}: non-finite values in payload")
+        raw = fh.read(_PREFIX_SIZE)
+        if len(raw) < _PREFIX_SIZE:
+            raise GridFormatError(f"{path}: file shorter than the fixed header")
+        if raw[:4] != MAGIC:
+            raise GridFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+        (version,) = struct.unpack_from("<H", raw, 4)
+        if version != VERSION:
+            raise GridFormatError(f"{path}: unsupported format version {version}")
+        header = _HEADER.unpack_from(raw, 6)
+        fnx, fny, fnz, dx, dy, dz, ox, oy, oz, wavelength, n_ref = header
+        dims = []
+        for name, value in (("nx", fnx), ("ny", fny), ("nz", fnz)):
+            if not value.is_integer() or value < 1:
+                raise GridFormatError(f"{path}: non-integral dimension {name}={value}")
+            dims.append(int(value))
+        nx, ny, nz = dims
+        n_vox = nx * ny * nz
+        expected = _PREFIX_SIZE + 8 * n_vox + 48 * n_vox
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise GridFormatError(
+                f"{path}: payload size mismatch, expected {expected} bytes for"
+                f" {nx}x{ny}x{nz} voxels, found {size}"
+            )
+        eps = np.fromfile(fh, dtype="<f8", count=n_vox)
+        if eps.size != n_vox:
+            raise GridFormatError(f"{path}: file shrank while reading")
+        if not np.all(np.isfinite(eps)):
+            raise GridFormatError(f"{path}: non-finite values in payload")
+        # C-contiguous arrays keep reductions bit-identical to freshly built grids.
+        eps = np.ascontiguousarray(eps.reshape((nx, ny, nz), order="F"))
+        efield = np.empty((nx, ny, nz, 3), dtype=complex)
+        slab = np.empty((ny, nx, 3), dtype="<c16")
+        for k in range(nz):
+            if fh.readinto(slab) != slab.nbytes:
+                raise GridFormatError(f"{path}: file shrank while reading")
+            if not np.all(np.isfinite(slab)):
+                raise GridFormatError(f"{path}: non-finite values in payload")
+            _file_slab(efield, k)[...] = slab
     return FieldGrid(
         eps=eps,
         efield=efield,
@@ -379,7 +397,10 @@ def mode_volume(grid: FieldGrid) -> ModeVolumeResult:
     in C order, and the numpy pairwise summation keeps the result
     independent of threading and evaluation order.
     """
-    u = grid.energy_density()
+    return _mode_volume(grid, grid.energy_density())
+
+
+def _mode_volume(grid: FieldGrid, u: np.ndarray) -> ModeVolumeResult:
     flat_idx = int(np.argmax(u))
     peak = float(u.ravel()[flat_idx])
     idx = np.unravel_index(flat_idx, u.shape)
@@ -410,13 +431,15 @@ def g_field(
         omega = 2.0 * math.pi * SPEED_OF_LIGHT / grid.wavelength
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    vres = mode_volume(grid)
+    intensity = _intensity(grid.efield)
+    vres = _mode_volume(grid, grid.eps * intensity)
     axis = dipole.axis
     if axis is None:
-        amplitude = np.sqrt(np.sum(np.abs(grid.efield) ** 2, axis=-1))
+        amplitude = np.sqrt(intensity)
     else:
         amplitude = np.abs(np.tensordot(grid.efield, axis.astype(complex), axes=([3], [0])))
-    e_max = float(np.sqrt(np.sum(np.abs(grid.efield) ** 2, axis=-1)).max())
+    # sqrt is monotone, so this equals the maximum of sqrt(intensity) exactly
+    e_max = math.sqrt(float(intensity.max()))
     g_peak = (
         dipole.overlap_xi
         * dipole.mu

@@ -1,15 +1,19 @@
 """End-to-end command line runs against temporary workspaces."""
 
 import csv
+import io
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cqed_fom import cli
 from cqed_fom.errors import NonConvergedError
-from cqed_fom.fieldgrid import load_grid_binary, mode_volume, synth_mode
+from cqed_fom.fieldgrid import g_field, load_grid_binary, mode_volume, synth_mode
 from cqed_fom.config import parse_config
+from cqed_fom.units import to_ghz
 
 SWEEP_CFG = {
     "system": {
@@ -310,3 +314,73 @@ def test_emitted_csv_reparses_as_floats(tmp_path):
     for row in rows[1:]:
         for cell in row[:-1]:
             float(cell)
+
+
+def _gmap_reference_csv(cfg_payload):
+    """Row-wise gmap table: one csv.writer row per voxel, repr per cell."""
+    cfg = parse_config(json.dumps(cfg_payload))
+    field = g_field(synth_mode(cfg.synth), cfg.dipole)
+    xs, ys, zs = field.axes()
+    nx, ny, nz = field.shape
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x_m", "y_m", "z_m", "g_GHz", "dielectric"])
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                writer.writerow(
+                    [
+                        repr(float(xs[i])),
+                        repr(float(ys[j])),
+                        repr(float(zs[k])),
+                        repr(float(to_ghz(1.0) * field.values[i, j, k])),
+                        repr(int(field.dielectric_mask[i, j, k])),
+                    ]
+                )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("orientation", ["aligned", [0.6, 0.0, 0.8]])
+def test_gmap_csv_matches_row_wise_reference(tmp_path, orientation):
+    cfg = {
+        "synth": {"preset": "ultra-confined", "shape": [14, 9, 6]},
+        "dipole": {"mu": {"value": 2.31, "unit": "Debye"}, "orientation": orientation},
+    }
+    reference = _gmap_reference_csv(cfg)
+    rc, out = run_cli(tmp_path, "gmap", cfg)
+    assert rc == 0
+    assert (out / "gmap.csv").read_text() == reference
+    rc, out = run_cli(tmp_path, "gmap", cfg, "--format", "json")
+    assert rc == 0
+    rows = json.loads((out / "gmap.json").read_text())["rows"]
+    expected = list(csv.reader(io.StringIO(reference)))[1:]
+    assert rows == [[float(c) for c in r[:4]] + [int(r[4])] for r in expected]
+
+
+def test_fom_sweep_failed_status_round_trips_through_csv(tmp_path):
+    cfg = {
+        "system": SWEEP_CFG["system"],
+        "sweep": {"g": {"values": [0, 5], "unit": "GHz"}},
+    }
+    rc, out = run_cli(tmp_path, "fom-sweep", cfg)
+    assert rc == 0
+    rc, out_json = run_cli(tmp_path, "fom-sweep", cfg, "--format", "json")
+    assert rc == 0
+    csv_status = read_rows(out / "fom_sweep.csv")[1][-1]
+    json_status = json.loads((out_json / "fom_sweep.json").read_text())["rows"][0][-1]
+    assert csv_status == json_status
+    assert csv_status.startswith("ValueError:")
+
+
+def test_fom_sweep_status_with_comma_and_quote_is_quoted(tmp_path, monkeypatch):
+    status = 'ValueError: bad point, "g" too small'
+    row = SimpleNamespace(
+        g=0.0, v_norm=None, beta=math.nan, beta_wg=math.nan, indist=math.nan,
+        cooperativity=math.nan, status=status,
+    )
+    monkeypatch.setattr(cli, "fom_sweep", lambda *args, **kwargs: [row])
+    rc, out = run_cli(tmp_path, "fom-sweep", SWEEP_CFG)
+    assert rc == 0
+    lines = (out / "fom_sweep.csv").read_text().splitlines()
+    assert lines[1] == '0.0,nan,nan,nan,nan,nan,"ValueError: bad point, ""g"" too small"'
+    assert read_rows(out / "fom_sweep.csv")[1][-1] == status
