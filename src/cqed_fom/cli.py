@@ -18,18 +18,23 @@ object to stderr. ``CQED_FOM_LOG`` sets the log level.
 
 Outputs are deterministic: floats print as shortest round-trip decimals
 (``repr``), JSON keys are sorted, tables carry no timestamps, and row
-order never depends on ``--threads``.
+order never depends on ``--threads``. Numeric CSV cells are never quoted;
+text cells are quoted by the ``csv`` module, as ``csv.writer`` with
+``lineterminator="\n"`` quotes them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
 import os
 import sys
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +56,9 @@ EXIT_IO = 4
 
 DEFAULT_DIPOLE = DipoleSpec(mu=debye(2.31))
 DEFAULT_MEDIUM_INDEX = 2.4
+# rows per CSV write: large enough to amortise the call, small enough that
+# the joined text stays a fraction of a megabyte
+CSV_CHUNK_ROWS = 4096
 
 
 def _json_safe(value):
@@ -80,23 +88,54 @@ def _column_formatter(fmt: str):
     return _column_text if fmt == "csv" else _column_json
 
 
+def _csv_text_column(cells, n_columns: int):
+    """Cells of a text column as they appear in a CSV row of ``n_columns`` fields.
+
+    The csv module itself quotes each distinct cell once: its rules differ
+    across Python versions (a bare CR) and with the row (a lone empty
+    field), so they are not restated here. ``cells`` is read twice.
+    """
+    if not isinstance(cells, Sequence):
+        raise TypeError(f"text column must be a sequence, got {type(cells).__name__}")
+    distinct = list(set(cells))
+    pad = ("",) if n_columns > 1 else ()
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows((cell,) + pad for cell in distinct)
+    # cut the newline and, with a pad field, the comma before it
+    cut = len(pad) + 1
+    text = {cell: line[:-cut] for cell, line in zip(distinct, lines)}
+    if all(cell == quoted for cell, quoted in text.items()):
+        return cells
+    return map(text.__getitem__, cells)
+
+
 def _write_table(path: str, columns: dict, fmt: str) -> None:
     """Write named columns as a CSV or JSON table, formatting per column.
 
-    A numpy array column is formatted in one pass; any other sequence
-    holds ready cells (text for CSV, JSON values for JSON).
+    A numpy array column is numeric and formatted in one lazy pass; any
+    other column is a sequence (it is read twice for CSV) of ready cells:
+    text for CSV, JSON values for JSON. CSV never quotes a numeric cell,
+    since ``repr`` of a number holds no comma, quote or line break; text
+    cells are quoted by the csv module, once per distinct cell. Rows are
+    joined and written in chunks of ``CSV_CHUNK_ROWS``, so the text of
+    the whole table is never held at once.
     """
-    format_column = _column_formatter(fmt)
-    cells = [
-        format_column(col) if isinstance(col, np.ndarray) else col
-        for col in columns.values()
-    ]
     if fmt == "csv":
+        cells = [
+            _column_text(col) if isinstance(col, np.ndarray) else _csv_text_column(col, len(columns))
+            for col in columns.values()
+        ]
+        rows = map(",".join, zip(*cells))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(zip(*cells))
+            csv.writer(fh, lineterminator="\n").writerow(columns)
+            while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+                fh.write("\n".join(chunk))
+                fh.write("\n")
     else:
+        cells = [
+            _column_json(col) if isinstance(col, np.ndarray) else col for col in columns.values()
+        ]
         doc = {"columns": list(columns), "rows": list(zip(*cells))}
         with open(path, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
@@ -209,18 +248,21 @@ def cmd_modevol(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
 
 
 def cmd_gmap(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
-    grid = _load_field(cfg, "gmap")
     dipole = cfg.dipole or DEFAULT_DIPOLE
-    field = fieldgrid.g_field(grid, dipole)
+    field = fieldgrid.g_field(_load_field(cfg, "gmap"), dipole)
     nx, ny, nz = field.shape
-    # only nx + ny + nz coordinates are distinct: format each once, then tile
-    xs, ys, zs = (list(_column_formatter(fmt)(a)) for a in field.axes())
+    # only nx + ny + nz coordinates and two flags are distinct: format each
+    # once, then tile
+    format_column = _column_formatter(fmt)
+    xs, ys, zs = (list(format_column(a)) for a in field.axes())
+    flags = list(format_column(np.array([0, 1])))
+    dielectric = field.dielectric_mask.ravel(order="F")
     columns = {
         "x_m": xs * (ny * nz),
         "y_m": [y for y in ys for _ in range(nx)] * nz,
         "z_m": [z for z in zs for _ in range(nx * ny)],
         "g_GHz": to_ghz(1.0) * field.values.ravel(order="F"),
-        "dielectric": field.dielectric_mask.ravel(order="F").astype(int),
+        "dielectric": list(map(flags.__getitem__, dielectric.tolist())),
     }
     _write_table(os.path.join(out, _table_name("gmap", fmt)), columns, fmt)
 

@@ -63,6 +63,11 @@ def _check_geometry(dx: float, dy: float, dz: float, origin) -> np.ndarray:
     return origin
 
 
+def _voxel_axes(origin, steps, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Voxel-centre coordinates ``origin + (i + 1/2) step`` along each axis."""
+    return tuple(o + (np.arange(n) + 0.5) * d for o, d, n in zip(origin, steps, shape))
+
+
 def _intensity(efield: np.ndarray) -> np.ndarray:
     """|E|^2 per voxel; every caller shares this expression, so bits agree."""
     return np.sum(np.abs(efield) ** 2, axis=-1)
@@ -115,12 +120,7 @@ class FieldGrid:
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Voxel-centre coordinates along each axis."""
-        nx, ny, nz = self.shape
-        return (
-            self.origin[0] + (np.arange(nx) + 0.5) * self.dx,
-            self.origin[1] + (np.arange(ny) + 0.5) * self.dy,
-            self.origin[2] + (np.arange(nz) + 0.5) * self.dz,
-        )
+        return _voxel_axes(self.origin, (self.dx, self.dy, self.dz), self.shape)
 
     def energy_density(self) -> np.ndarray:
         """eps(r) |E(r)|^2 per voxel (unnormalized)."""
@@ -155,12 +155,8 @@ class ScalarField:
         return self.values.shape
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        nx, ny, nz = self.shape
-        return (
-            self.origin[0] + (np.arange(nx) + 0.5) * self.dx,
-            self.origin[1] + (np.arange(ny) + 0.5) * self.dy,
-            self.origin[2] + (np.arange(nz) + 0.5) * self.dz,
-        )
+        """Voxel-centre coordinates along each axis."""
+        return _voxel_axes(self.origin, (self.dx, self.dy, self.dz), self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +530,10 @@ def synth_mode(spec: SynthModeSpec) -> FieldGrid:
     nx, ny, nz = (int(n) for n in spec.shape)
     dx, dy, dz = lx / nx, ly / ny, lz / nz
     origin = np.array([-0.5 * lx, -0.5 * ly, -0.5 * lz])
-    xs = origin[0] + (np.arange(nx) + 0.5) * dx
-    ys = origin[1] + (np.arange(ny) + 0.5) * dy
-    zs = origin[2] + (np.arange(nz) + 0.5) * dz
-    x, y, z = np.meshgrid(xs, ys, zs, indexing="ij")
+    xs, ys, zs = _voxel_axes(origin, (dx, dy, dz), (nx, ny, nz))
+    # broadcast axes: each elementwise expression below sees the same operands,
+    # in the same order, as on full meshgrid arrays, so the bits do not change
+    x, y, z = xs[:, None, None], ys[None, :, None], zs[None, None, :]
 
     bhw = spec.beam_half_width if spec.beam_half_width is not None else 0.5 * ly
     bhh = spec.beam_half_height if spec.beam_half_height is not None else 0.5 * lz

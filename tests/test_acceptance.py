@@ -230,10 +230,10 @@ def test_criterion_05_coupling_volume_anchor():
     """g(V = 0.5 (lambda/n)^3) near 10 GHz, exactly 10x at V/100 smaller."""
     g_half = g_from_mode_volume(0.5, DIPOLE, units="lambda_n3", medium_index=2.4)
     g_tiny = g_from_mode_volume(0.005, DIPOLE, units="lambda_n3", medium_index=2.4)
-    assert to_ghz(g_half) == pytest.approx(10.0, rel=0.25)
+    assert to_ghz(g_half) == pytest.approx(10.0, rel=0.25, abs=0.0)
     # frozen regression value from the first oracle evaluation
-    assert to_ghz(g_half) == pytest.approx(11.922875568587322, rel=1e-12)
-    assert g_tiny / g_half == pytest.approx(10.0, rel=1e-12)
+    assert to_ghz(g_half) == pytest.approx(11.922875568587322, rel=1e-12, abs=0.0)
+    assert g_tiny / g_half == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
 
 def test_criterion_06_quality_factor_convention():
@@ -319,7 +319,7 @@ def test_criterion_10_mode_volume():
         hole_half_length=s * DEFAULT_SYNTH_SPEC.hole_half_length,
     )
     scaled = mode_volume(synth_mode(scaled_spec)).v_m3
-    assert scaled / coarse == pytest.approx(s**3, rel=1e-12)
+    assert scaled / coarse == pytest.approx(s**3, rel=1e-12, abs=0.0)
 
 
 def test_criterion_11_implantation_statistics():

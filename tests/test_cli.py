@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqed_fom import cli
 from cqed_fom.errors import NonConvergedError
@@ -384,3 +386,87 @@ def test_fom_sweep_status_with_comma_and_quote_is_quoted(tmp_path, monkeypatch):
     lines = (out / "fom_sweep.csv").read_text().splitlines()
     assert lines[1] == '0.0,nan,nan,nan,nan,nan,"ValueError: bad point, ""g"" too small"'
     assert read_rows(out / "fom_sweep.csv")[1][-1] == status
+
+
+# --- CSV writer against csv.writer --------------------------------------------
+
+TEXT_CELLS = [
+    "ok",
+    "a,b",
+    'say "hi"',
+    "cr\rhere",
+    "lf\nhere",
+    "crlf\r\n",
+    "",
+    '""',
+    " leading space",
+    "naïve µ ✓",
+]
+NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 0.1, 1.7976931348623157e308]
+
+
+def _csv_writer_reference(columns):
+    """The table as one csv.writer row per table row, repr per numeric cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    cells = [
+        [repr(v) for v in col.tolist()] if isinstance(col, np.ndarray) else col
+        for col in columns.values()
+    ]
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+def _written_csv(path, columns):
+    cli._write_table(str(path), columns, "csv")
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def test_write_table_csv_matches_csv_writer_across_chunks(tmp_path):
+    n = 2 * cli.CSV_CHUNK_ROWS + 1
+    i = np.arange(n)
+    columns = {
+        "status": [TEXT_CELLS[k % len(TEXT_CELLS)] for k in range(n)],
+        "x": np.array(NUMBERS)[i % len(NUMBERS)],
+        "count": i - cli.CSV_CHUNK_ROWS,
+        "note": tuple(TEXT_CELLS[(3 * k) % len(TEXT_CELLS)] for k in range(n)),
+    }
+    assert _written_csv(tmp_path / "t.csv", columns) == _csv_writer_reference(columns)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"s": ["", "x", "", " "]},
+        {"s": TEXT_CELLS},
+        {"v": np.array([0.5, -0.0, math.nan])},
+        {"v": np.array([], dtype=float), "s": []},
+        {"a": ["", ""], "b": ["", "c"]},
+    ],
+    ids=["one-text-column", "one-text-column-special", "one-numeric-column", "no-rows", "empty-cells"],
+)
+def test_write_table_csv_small_tables_match_csv_writer(tmp_path, columns):
+    assert _written_csv(tmp_path / "t.csv", columns) == _csv_writer_reference(columns)
+
+
+def test_write_table_csv_rejects_one_shot_text_column(tmp_path):
+    with pytest.raises(TypeError, match="sequence"):
+        cli._write_table(str(tmp_path / "t.csv"), {"s": map(str, range(3))}, "csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.text(max_size=8), st.floats(), st.text(max_size=8)), max_size=12),
+    one_column=st.booleans(),
+)
+def test_write_table_csv_random_text_matches_csv_writer(tmp_path_factory, rows, one_column):
+    first = [r[0] for r in rows]
+    columns = {"a": first} if one_column else {
+        "a": first,
+        "x": np.array([r[1] for r in rows], dtype=float),
+        "b": [r[2] for r in rows],
+    }
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert _written_csv(path, columns) == _csv_writer_reference(columns)

@@ -21,8 +21,8 @@ def test_frequency_tag_converts_to_angular_rate():
         ' "kappa_wg": {"value": 10, "unit": "GHz"},'
         ' "gamma": {"value": 100, "unit": "MHz"}}}'
     )
-    assert cfg.system.g == pytest.approx(2.0 * np.pi * 10e9, rel=1e-15)
-    assert cfg.system.gamma == pytest.approx(mhz(100), rel=1e-15)
+    assert cfg.system.g == pytest.approx(2.0 * np.pi * 10e9, rel=1e-15, abs=0.0)
+    assert cfg.system.gamma == pytest.approx(mhz(100), rel=1e-15, abs=0.0)
 
 
 def test_rad_per_second_passes_through():
@@ -66,7 +66,7 @@ def test_wavelength_sets_the_carrier():
         ' "gamma": {"value": 1, "unit": "MHz"},'
         ' "wavelength": {"value": 737, "unit": "nm"}}}'
     )
-    assert cfg.system.wavelength == pytest.approx(nm(737), rel=1e-12)
+    assert cfg.system.wavelength == pytest.approx(nm(737), rel=1e-12, abs=0.0)
 
 
 def test_sweep_accepts_g_list():
@@ -83,7 +83,7 @@ def test_sweep_accepts_normalized_volumes():
 
 def test_sweep_converts_absolute_volumes():
     cfg = parse_config('{"sweep": {"volume": {"values": [2.0], "unit": "nm3"}}}')
-    assert cfg.sweep.volumes[0] == pytest.approx(2e-27, rel=1e-15)
+    assert cfg.sweep.volumes[0] == pytest.approx(2e-27, rel=1e-15, abs=0.0)
     assert cfg.sweep.volume_units == "m3"
 
 
@@ -106,7 +106,7 @@ def test_spin_block_with_fwhm_drift():
         ' "drift": {"value": 100, "unit": "MHz"},'
         ' "drift_interpretation": "fwhm"}}'
     )
-    assert cfg.spin.drift == pytest.approx(mhz(100), rel=1e-15)
+    assert cfg.spin.drift == pytest.approx(mhz(100), rel=1e-15, abs=0.0)
     assert cfg.spin.drift_sigma < cfg.spin.drift
 
 
@@ -134,7 +134,7 @@ def test_numerics_block_round_trips():
 def test_synth_preset_with_override():
     cfg = parse_config('{"synth": {"preset": "ultra-confined", "shape": [50, 25, 15]}}')
     assert cfg.synth.shape == (50, 25, 15)
-    assert cfg.synth.sigma == pytest.approx(25e-9)
+    assert cfg.synth.sigma == pytest.approx(25e-9, abs=0.0)
     assert cfg.synth_output == "synth_mode.fgrd"
 
 
@@ -180,7 +180,7 @@ def test_contrast_block_with_fixed_probe():
         ' "probe_policy": {"value": -50, "unit": "GHz"}}}'
     )
     assert cfg.contrast_detunings.size == 4
-    assert cfg.probe_policy == pytest.approx(-ghz(50), rel=1e-15)
+    assert cfg.probe_policy == pytest.approx(-ghz(50), rel=1e-15, abs=0.0)
     with pytest.raises(ConfigError, match="max-contrast"):
         parse_config(
             '{"contrast": {"start": {"value": 1, "unit": "GHz"},'

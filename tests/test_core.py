@@ -278,8 +278,8 @@ def test_basis_state_layout():
     eye = identity(SPEC2)
     exc = excitation_operator(SPEC2)
     rho = excited_emitter_state(SPEC2)
-    assert expectation(exc, rho).real == pytest.approx(1.0)
-    assert expectation(eye, rho).real == pytest.approx(1.0)
+    assert expectation(exc, rho).real == pytest.approx(1.0, abs=0.0)
+    assert expectation(eye, rho).real == pytest.approx(1.0, abs=0.0)
 
 
 def test_evolve_validates_tolerance_window():

@@ -13,6 +13,7 @@ from cqed_fom.constants import DEBYE
 from cqed_fom.errors import GridFormatError
 from cqed_fom.fieldgrid import (
     DEFAULT_SYNTH_SPEC,
+    ULTRA_CONFINED_SYNTH_SPEC,
     FieldGrid,
     SynthModeSpec,
     g_field,
@@ -96,9 +97,9 @@ def test_grid_rejects_shape_mismatch():
 def test_axes_are_voxel_centres():
     g = _uniform_grid()
     xs, ys, zs = g.axes()
-    assert xs[0] == pytest.approx(0.5e-9)
-    assert ys[0] == pytest.approx(1e-9)
-    assert zs[-1] == pytest.approx((4 - 0.5) * 3e-9)
+    assert xs[0] == pytest.approx(0.5e-9, abs=0.0)
+    assert ys[0] == pytest.approx(1e-9, abs=0.0)
+    assert zs[-1] == pytest.approx((4 - 0.5) * 3e-9, abs=0.0)
 
 
 # --- I/O round-trips ----------------------------------------------------------
@@ -128,7 +129,7 @@ def test_csv_round_trip_matches_binary(tmp_path):
     np.testing.assert_allclose(gc.eps, gb.eps, atol=1e-12, rtol=0.0)
     np.testing.assert_allclose(gc.efield, gb.efield, atol=1e-12, rtol=0.0)
     np.testing.assert_allclose(gc.origin, gb.origin, atol=1e-12 * abs(gb.origin).max())
-    assert gc.dx == pytest.approx(gb.dx, rel=1e-12)
+    assert gc.dx == pytest.approx(gb.dx, rel=1e-12, abs=0.0)
 
 
 def test_csv_loader_requires_metadata(tmp_path):
@@ -198,7 +199,7 @@ def test_uniform_field_volume_equals_box():
     g = _uniform_grid()
     res = mode_volume(g)
     box = 6 * 1e-9 * 5 * 2e-9 * 4 * 3e-9
-    assert res.v_m3 == pytest.approx(box, rel=1e-14)
+    assert res.v_m3 == pytest.approx(box, rel=1e-14, abs=0.0)
     assert res.argmax_index == (0, 0, 0)  # first voxel on exact ties
 
 
@@ -226,13 +227,13 @@ def test_mode_volume_scale_invariance():
         origin=g.origin * s, wavelength=g.wavelength, n_ref=g.n_ref,
     )
     r1, r2 = mode_volume(g), mode_volume(scaled)
-    assert r2.v_m3 == pytest.approx(r1.v_m3 * s**3, rel=1e-12)
+    assert r2.v_m3 == pytest.approx(r1.v_m3 * s**3, rel=1e-12, abs=0.0)
 
 
 def test_normalized_volume_uses_wavelength_over_index():
     g = _uniform_grid()
     res = mode_volume(g)
-    assert res.v_norm == pytest.approx(res.v_m3 / (737e-9 / 2.4) ** 3, rel=1e-14)
+    assert res.v_norm == pytest.approx(res.v_m3 / (737e-9 / 2.4) ** 3, rel=1e-14, abs=0.0)
 
 
 def test_synthetic_volume_converges_first_order():
@@ -280,7 +281,7 @@ def test_gmap_peak_equals_closed_form_conversion():
     res = mode_volume(grid)
     field = g_field(grid, DIPOLE)
     expected = g_from_mode_volume(res.v_m3, DIPOLE)
-    assert float(field.values.max()) == pytest.approx(expected, rel=1e-12)
+    assert float(field.values.max()) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_gmap_fixed_axis_never_exceeds_aligned():
@@ -334,7 +335,7 @@ def test_synth_mode_field_is_y_polarized_and_suppressed_in_air():
         -(x**2 + y**2 + z**2) / (2.0 * spec.sigma**2)
     )
     assert grid.efield[ix, iy_air, iz, 1].real == pytest.approx(
-        envelope / spec.eps_dielectric, rel=1e-12
+        envelope / spec.eps_dielectric, rel=1e-12, abs=0.0
     )
 
 
@@ -428,6 +429,69 @@ def test_binary_loader_peak_memory_is_bounded(tmp_path):
     assert peak <= 2 * (back.eps.nbytes + back.efield.nbytes)
 
 
+def _hole_free_spec(n):
+    """Hole-free, bridge-free beam in a 360 nm box, n voxels per axis, via the config."""
+    cfg = parse_config(
+        json.dumps(
+            {
+                "synth": {
+                    "size": {"values": [360, 360, 360], "unit": "nm"},
+                    "shape": [n, n, n],
+                    "period": {"value": 100, "unit": "nm"},
+                    "sigma": {"value": 30, "unit": "nm"},
+                    "hole_half_length": {"value": 0, "unit": "nm"},
+                    "bridge_half_width": {"value": 0, "unit": "nm"},
+                }
+            }
+        )
+    )
+    return cfg.synth
+
+
+def _synth_mode_on_meshgrid(spec):
+    """eps and efield of the synthetic mode, evaluated on full meshgrid arrays."""
+    lx, ly, lz = spec.size
+    nx, ny, nz = (int(n) for n in spec.shape)
+    dx, dy, dz = lx / nx, ly / ny, lz / nz
+    origin = np.array([-0.5 * lx, -0.5 * ly, -0.5 * lz])
+    xs = origin[0] + (np.arange(nx) + 0.5) * dx
+    ys = origin[1] + (np.arange(ny) + 0.5) * dy
+    zs = origin[2] + (np.arange(nz) + 0.5) * dz
+    x, y, z = np.meshgrid(xs, ys, zs, indexing="ij")
+    bhw = spec.beam_half_width if spec.beam_half_width is not None else 0.5 * ly
+    bhh = spec.beam_half_height if spec.beam_half_height is not None else 0.5 * lz
+    beam = (np.abs(y) <= bhw) & (np.abs(z) <= bhh)
+    folded = np.abs(np.mod(x + 0.5 * spec.period, spec.period) - 0.5 * spec.period)
+    hole = beam & (folded <= spec.hole_half_length) & (np.abs(y) > spec.bridge_half_width)
+    dielectric = beam & ~hole
+    ey = np.cos(np.pi * x / spec.period) * np.exp(-(x**2 + y**2 + z**2) / (2.0 * spec.sigma**2))
+    ey = np.where(dielectric, ey, ey / spec.eps_dielectric)
+    efield = np.zeros((nx, ny, nz, 3), dtype=complex)
+    efield[..., 1] = ey
+    return np.where(dielectric, spec.eps_dielectric, 1.0), efield
+
+
+def _same_bits(a, b):
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64))
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DEFAULT_SYNTH_SPEC, ULTRA_CONFINED_SYNTH_SPEC, _hole_free_spec(91), _hole_free_spec(90)],
+    ids=["default", "ultra-confined", "hole-free-odd", "hole-free-even"],
+)
+def test_synth_mode_matches_meshgrid_formula_bit_for_bit(spec):
+    grid = synth_mode(spec)
+    eps, efield = _synth_mode_on_meshgrid(spec)
+    assert grid.eps.flags.c_contiguous and grid.efield.flags.c_contiguous
+    assert _same_bits(grid.eps, eps)
+    assert _same_bits(grid.efield, efield)
+
+
 # --- known fault: air voxels on lattice sites of a hole-free beam -----------------
 
 
@@ -438,21 +502,8 @@ def test_binary_loader_peak_memory_is_bounded(tmp_path):
 )
 def test_hole_free_volume_matches_closed_form_through_config():
     sigma, period, box = 30e-9, 100e-9, 360e-9
-    cfg = parse_config(
-        json.dumps(
-            {
-                "synth": {
-                    "size": {"values": [360, 360, 360], "unit": "nm"},
-                    "shape": [91, 91, 91],
-                    "period": {"value": 100, "unit": "nm"},
-                    "sigma": {"value": 30, "unit": "nm"},
-                    "hole_half_length": {"value": 0, "unit": "nm"},
-                    "bridge_half_width": {"value": 0, "unit": "nm"},
-                }
-            }
-        )
-    )
-    assert cfg.synth.size == pytest.approx((box, box, box), rel=1e-15)
-    v = mode_volume(synth_mode(cfg.synth)).v_m3
+    spec = _hole_free_spec(91)
+    assert spec.size == pytest.approx((box, box, box), rel=1e-15, abs=0.0)
+    v = mode_volume(synth_mode(spec)).v_m3
     closed = math.pi**1.5 * sigma**3 * (1.0 + math.exp(-((math.pi * sigma / period) ** 2))) / 2.0
     assert v == pytest.approx(closed, rel=1e-6, abs=0.0)

@@ -45,7 +45,7 @@ def test_beta_at_unit_cooperativity_is_near_half():
     # the Purcell estimate beta = C/(C+1) = 0.5 holds to a few percent
     g = np.sqrt(ghz(10) * mhz(100) / 4.0)
     params = SystemParams(g=g, **BASE_RATES)
-    assert cooperativity(params) == pytest.approx(1.0, rel=1e-12)
+    assert cooperativity(params) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert cavity_efficiency(params) == pytest.approx(0.5, abs=0.02)
 
 
@@ -65,7 +65,7 @@ def test_waveguide_channel_scales_by_branching_ratio():
     params = SystemParams(g=ghz(5), kappa_wg=ghz(8), kappa_sc=ghz(2), gamma=mhz(100))
     total = cavity_efficiency(params, channel="total")
     wg = cavity_efficiency(params, channel="waveguide")
-    assert wg == pytest.approx(total * 0.8, rel=1e-9)
+    assert wg == pytest.approx(total * 0.8, rel=1e-9, abs=0.0)
 
 
 def test_beta_fails_loudly_when_emission_cannot_complete():
@@ -140,7 +140,7 @@ def test_emission_grid_shape():
     numerics = EmissionNumerics()
     grid = emission_time_grid(50.0 / params.kappa, params, numerics)
     assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(50.0 / params.kappa, rel=1e-12)
+    assert grid[-1] == pytest.approx(50.0 / params.kappa, rel=1e-12, abs=0.0)
     assert np.all(np.diff(grid) > 0.0)
     # ceil rounding may add one point per coarsening segment beyond the budget
     assert grid.size <= numerics.max_axis_points + numerics.coarsen_levels + 1
@@ -157,19 +157,19 @@ def test_coupling_at_half_lambda_cubed_volume():
     # the design working point quotes ~10 GHz here
     assert abs(g_ghz - 10.0) / 10.0 < 0.25
     # pinned after first evaluation; guards the constant-factor stack
-    assert g_ghz == pytest.approx(11.922875568587322, rel=1e-12)
+    assert g_ghz == pytest.approx(11.922875568587322, rel=1e-12, abs=0.0)
 
 
 def test_hundredfold_volume_reduction_gives_tenfold_coupling():
     g1 = g_from_mode_volume(0.5, DIPOLE, units="lambda_n3", medium_index=2.4)
     g2 = g_from_mode_volume(0.005, DIPOLE, units="lambda_n3", medium_index=2.4)
-    assert g2 / g1 == pytest.approx(10.0, rel=1e-12)
+    assert g2 / g1 == pytest.approx(10.0, rel=1e-12, abs=0.0)
 
 
 def test_volume_conversion_round_trip():
     v = 3.7e-22
     g = g_from_mode_volume(v, DIPOLE)
-    assert mode_volume_from_coupling(g, DIPOLE) == pytest.approx(v, rel=1e-12)
+    assert mode_volume_from_coupling(g, DIPOLE) == pytest.approx(v, rel=1e-12, abs=0.0)
 
 
 def test_normalized_volume_units_require_medium_index():
@@ -180,7 +180,9 @@ def test_normalized_volume_units_require_medium_index():
 def test_overlap_and_orientation_scale_linearly():
     half = DipoleSpec(mu=2.31 * DEBYE, overlap_xi=0.5)
     assert g_from_mode_volume(0.5, half, units="lambda_n3", medium_index=2.4) == pytest.approx(
-        0.5 * g_from_mode_volume(0.5, DIPOLE, units="lambda_n3", medium_index=2.4), rel=1e-12
+        0.5 * g_from_mode_volume(0.5, DIPOLE, units="lambda_n3", medium_index=2.4),
+        rel=1e-12,
+        abs=0.0,
     )
 
 
@@ -205,9 +207,9 @@ def test_sweep_by_volume_converts_through_dipole():
         dipole=DIPOLE,
         medium_index=2.4,
     )
-    assert results[0].v_norm == pytest.approx(0.5, rel=1e-12)
+    assert results[0].v_norm == pytest.approx(0.5, rel=1e-12, abs=0.0)
     expected_g = g_from_mode_volume(0.5, DIPOLE, base.omega, "lambda_n3", 2.4)
-    assert results[0].g == pytest.approx(expected_g, rel=1e-12)
+    assert results[0].g == pytest.approx(expected_g, rel=1e-12, abs=0.0)
 
 
 def test_sweep_threaded_matches_serial():

@@ -51,7 +51,7 @@ def _radial_field(shape=(41, 41, 3), dx=2e-9):
 
 
 def test_two_sample_median_interpolates_linearly():
-    assert weighted_percentile([1.0, 3.0], [1.0, 1.0], 50.0) == pytest.approx(2.0)
+    assert weighted_percentile([1.0, 3.0], [1.0, 1.0], 50.0) == pytest.approx(2.0, abs=0.0)
 
 
 def test_single_sample_dominates_every_percentile():
@@ -214,7 +214,7 @@ def test_fixed_plane_index_selects_that_plane():
     fixed = implant_distribution(field, ImplantRegion(diameter=8e-9, plane=1))
     assert auto.plane_index == 2
     assert fixed.plane_index == 1
-    assert auto.median == pytest.approx(2.0 * fixed.median, rel=1e-12)
+    assert auto.median == pytest.approx(2.0 * fixed.median, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError, match="plane"):
         implant_distribution(field, ImplantRegion(diameter=8e-9, plane=9))
 

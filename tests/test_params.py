@@ -11,7 +11,7 @@ from cqed_fom.units import ghz, mhz
 
 def test_kappa_is_the_sum_of_loss_channels():
     p = SystemParams(g=ghz(5), kappa_wg=ghz(8), kappa_sc=ghz(2), gamma=mhz(100))
-    assert p.kappa == pytest.approx(ghz(10), rel=1e-15)
+    assert p.kappa == pytest.approx(ghz(10), rel=1e-15, abs=0.0)
 
 
 def test_rates_must_be_nonnegative_and_finite():
@@ -30,7 +30,9 @@ def test_detuning_may_be_signed():
 
 def test_cooperativity_definition():
     p = SystemParams(g=ghz(2), kappa_wg=ghz(4), gamma=ghz(1))
-    assert p.cooperativity() == pytest.approx(4 * ghz(2) ** 2 / (ghz(4) * ghz(1)), rel=1e-15)
+    assert p.cooperativity() == pytest.approx(
+        4 * ghz(2) ** 2 / (ghz(4) * ghz(1)), rel=1e-15, abs=0.0
+    )
 
 
 def test_quality_factor_convention():
@@ -48,7 +50,7 @@ def test_quality_factor_requires_loss():
 
 def test_coherence_rate_includes_double_dephasing():
     p = SystemParams(g=ghz(1), kappa_wg=ghz(1), gamma=mhz(100), gamma_star=mhz(50))
-    assert p.gamma_coherence == pytest.approx(mhz(100) + 2 * mhz(50), rel=1e-15)
+    assert p.gamma_coherence == pytest.approx(mhz(100) + 2 * mhz(50), rel=1e-15, abs=0.0)
 
 
 def test_hilbert_indexing_is_emitter_major():

@@ -147,7 +147,7 @@ def test_drift_preserves_dip_area():
     blurred = apply_drift(raw, sigma)
     missing_raw = np.sum(1.0 - raw.values) * h
     missing_blurred = np.sum(1.0 - blurred.values) * h
-    assert missing_blurred == pytest.approx(missing_raw, rel=1e-6)
+    assert missing_blurred == pytest.approx(missing_raw, rel=1e-6, abs=0.0)
 
 
 # --- spin spectra and contrast ----------------------------------------------
@@ -172,7 +172,7 @@ def test_fwhm_drift_interpretation_matches_sigma():
     sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     a = SpinConfig(zeeman_split=ghz(1), drift=fwhm, drift_interpretation="fwhm")
     b = SpinConfig(zeeman_split=ghz(1), drift=sigma)
-    assert a.drift_sigma == pytest.approx(b.drift_sigma, rel=1e-12)
+    assert a.drift_sigma == pytest.approx(b.drift_sigma, rel=1e-12, abs=0.0)
 
 
 def test_contrast_bounds_and_zero_guard():
