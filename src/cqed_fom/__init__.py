@@ -26,7 +26,6 @@ from .fieldgrid import (
     synth_mode,
 )
 from .fom import (
-    EmissionNumerics,
     FomResult,
     cavity_efficiency,
     cooperativity,
@@ -71,7 +70,6 @@ __all__ = [
     "evolve",
     "expectation",
     "two_time_correlation",
-    "EmissionNumerics",
     "FomResult",
     "cavity_efficiency",
     "indistinguishability",

@@ -11,10 +11,11 @@ Commands
     synth-field    write the analytic test mode to a grid file
 
 Shared flags: ``--config`` (JSON, unit-tagged), ``--out`` output
-directory, ``--threads`` worker count for sweeps, ``--format`` csv or
-json for tables. Exit codes: 0 success, 2 config error, 3 numerical
-non-convergence, 4 I/O error; failures print a machine-readable JSON
-object to stderr. ``CQED_FOM_LOG`` sets the log level.
+directory, ``--threads`` (validated, >= 1; every command runs serially),
+``--format`` csv or json for tables. Exit codes: 0 success, 2 config
+error, 3 numerical non-convergence, 4 I/O error; failures print a
+machine-readable JSON object to stderr. ``CQED_FOM_LOG`` sets the log
+level.
 
 Outputs are deterministic: floats print as shortest round-trip decimals
 (``repr``), JSON keys are sorted, tables carry no timestamps, and row
@@ -179,9 +180,6 @@ def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
         volume_units=sweep.volume_units,
         dipole=dipole,
         medium_index=medium,
-        spec=cfg.hilbert,
-        numerics=cfg.numerics,
-        workers=threads,
     )
     volumes = []
     for r in results:
@@ -346,7 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted (>= 1); commands run serially"
+    )
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     return parser
 

@@ -13,8 +13,7 @@ the blocks it needs):
     system    SystemParams fields (g, kappa_wg, kappa_sc, gamma,
               gamma_star, delta_ca, wavelength)
     dipole    mu, orientation ("aligned" or a 3-vector), overlap_xi
-    hilbert   n_max
-    numerics  EmissionNumerics fields, all dimensionless
+    hilbert   n_max (validated; no command's output depends on it)
     spin      zeeman_split, spin_down_offset, drift, drift_interpretation
     probe     start, stop, points: probe-detuning grid for spectra
     contrast  start, stop, points (cavity detunings) and probe_policy
@@ -35,7 +34,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .fieldgrid import DEFAULT_SYNTH_SPEC, ULTRA_CONFINED_SYNTH_SPEC, SynthModeSpec
-from .fom import EmissionNumerics
 from .params import DEFAULT_WAVELENGTH, DipoleSpec, HilbertSpec, SystemParams
 from .reflection import SpinConfig
 from .units import DIPOLE_UNITS, FREQUENCY_UNITS, LENGTH_UNITS, TWO_PI, VOLUME_UNITS
@@ -138,7 +136,6 @@ class RunConfig:
     system: SystemParams | None = None
     dipole: DipoleSpec | None = None
     hilbert: HilbertSpec | None = None
-    numerics: EmissionNumerics | None = None
     spin: SpinConfig | None = None
     probe: np.ndarray | None = None
     contrast_detunings: np.ndarray | None = None
@@ -202,38 +199,6 @@ def _parse_hilbert(node, path: str) -> HilbertSpec:
     _reject_unknown(node, ("n_max",), path)
     try:
         return HilbertSpec(n_max=_integer(node.get("n_max", 1), f"{path}.n_max"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_numerics(node, path: str) -> EmissionNumerics:
-    node = _require_mapping(node, path)
-    fields = (
-        "tol",
-        "points_per_period",
-        "coarsen_levels",
-        "max_axis_points",
-        "residual_target",
-        "residual_error_threshold",
-        "horizon_cap_factor",
-        "integral_steps",
-        "backend",
-    )
-    _reject_unknown(node, fields, path)
-    kwargs = {}
-    for name in fields:
-        if name not in node:
-            continue
-        if name == "backend":
-            if node[name] not in ("auto", "expm", "adaptive"):
-                raise ConfigError(f"{path}.backend: must be auto, expm or adaptive")
-            kwargs[name] = node[name]
-        elif name in ("points_per_period", "coarsen_levels", "max_axis_points", "integral_steps"):
-            kwargs[name] = _integer(node[name], f"{path}.{name}")
-        else:
-            kwargs[name] = _number(node[name], f"{path}.{name}")
-    try:
-        return EmissionNumerics(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -437,7 +402,6 @@ _BLOCKS = (
     "system",
     "dipole",
     "hilbert",
-    "numerics",
     "spin",
     "probe",
     "contrast",
@@ -463,8 +427,6 @@ def parse_config(text: str) -> RunConfig:
         kwargs["dipole"] = _parse_dipole(doc["dipole"], "dipole")
     if "hilbert" in doc:
         kwargs["hilbert"] = _parse_hilbert(doc["hilbert"], "hilbert")
-    if "numerics" in doc:
-        kwargs["numerics"] = _parse_numerics(doc["numerics"], "numerics")
     if "spin" in doc:
         kwargs["spin"] = _parse_spin(doc["spin"], "spin")
     if "probe" in doc:

@@ -1,8 +1,8 @@
 """Single-photon figures of merit of the emitter-cavity system.
 
 Everything here starts from the emission problem: the emitter is
-prepared in ``|e, 0>`` and the master equation is integrated until the
-stored excitation is gone. From that flow we compute
+prepared in ``|e, 0>`` and the undriven master equation runs until the
+excitation is gone. From that flow we compute
 
 * ``cavity_efficiency``: beta = kappa * int_0^inf <a^dag a> dt, the
   probability that the excitation leaves through the cavity,
@@ -12,153 +12,89 @@ stored excitation is gone. From that flow we compute
 * the conversion between mode volume and coupling rate,
   g = xi * mu * sqrt(omega / (2 eps0 hbar V)).
 
-The photon-number integral is evaluated exactly along the flow (see
-``core.propagate_integrals``); the double time integrals use the
-trapezoid rule on a product grid whose late-time part is dyadically
-coarsened.
+The undriven flow never leaves the one-excitation manifold {|e,0>,
+|g,1>}: H conserves the excitation number, ``a`` and ``sigma_-`` lower
+it and dephasing keeps it. Both figures are therefore exact linear
+algebra on two blocks of ``core.build_liouvillian`` at n_max = 1, and
+hold for every n_max >= 1. With A the block of rho on that manifold and
+B the block of the coherences |g,0><j| that ``a`` maps it to, the time
+integrals are one linear solve and two Lyapunov solves (Bartels-Stewart):
+
+    int x dt      = (-A)^{-1} x0,
+    int x x^H dt  = Z,  A Z + Z A^H = -x0 x0^H,
+    numerator of I = w^T Y w*,  B Y + Y B^H = -S Z S^H,
+
+and the denominator of I is (int n dt)^2 / 2. No time grid is involved.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.linalg import expm
+from scipy.linalg import solve_continuous_lyapunov
 
 from .constants import HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .core import (
-    annihilation,
-    build_liouvillian,
-    excitation_operator,
-    excited_emitter_state,
-    identity,
-    number_operator,
-    propagate_integrals,
-    two_time_correlation,
-    vec,
-)
+from .core import annihilation, build_liouvillian, excited_emitter_state, number_operator, vec
 from .errors import NonConvergedError
 from .params import DEFAULT_OMEGA, DipoleSpec, HilbertSpec, SystemParams
 
 
-@dataclass(frozen=True)
-class EmissionNumerics:
-    """Discretization controls for the emission-problem integrals.
+def _emission_integrals(params: SystemParams) -> tuple[float, float]:
+    """(int <n> dt, int int |<a^dag(t+tau) a(t)>|^2 dt dtau) of the emission problem.
 
-    points_per_period samples the fastest angular scale of the problem
-    (max of 2g, kappa, the coherence decay and the detuning); the grid is
-    then split into ``coarsen_levels`` dyadic segments so the tail costs
-    fewer points. The horizon search extends the integration window until
-    the leftover excitation drops below ``residual_target``, capped at
-    ``horizon_cap_factor`` over the slowest decay channel.
+    Raises NonConvergedError("non-converged integral...") when part of the
+    excitation never decays, or when the slowest decay is below double
+    precision relative to the fastest rate.
     """
-
-    tol: float = 1e-9
-    points_per_period: int = 48
-    coarsen_levels: int = 3
-    max_axis_points: int = 2400
-    residual_target: float = 1e-8
-    residual_error_threshold: float = 1e-4
-    horizon_cap_factor: float = 50.0
-    integral_steps: int = 64
-    backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol <= 1e-3:
-            raise ValueError(f"tol must be in (0, 1e-3], got {self.tol!r}")
-        if self.points_per_period < 8:
-            raise ValueError("points_per_period must be >= 8")
-        if self.coarsen_levels < 1:
-            raise ValueError("coarsen_levels must be >= 1")
-        if self.max_axis_points < 64:
-            raise ValueError("max_axis_points must be >= 64")
-        if not 0.0 < self.residual_target <= 1e-6:
-            raise ValueError("residual_target must be in (0, 1e-6]")
-        if self.residual_error_threshold < self.residual_target:
-            raise ValueError("residual_error_threshold must be >= residual_target")
-
-
-def _min_positive_decay(params: SystemParams) -> float:
-    rates = [r for r in (params.kappa, params.gamma) if r > 0.0]
-    if not rates:
+    if params.kappa == 0.0 and params.gamma == 0.0:
         raise NonConvergedError(
             "non-converged integral: no energy decay channel (kappa and gamma both zero)"
         )
-    return min(rates)
+    if params.g == 0.0 and params.gamma > 0.0:
+        # |g,1> is never reached, so no photon; |e,0> decays through gamma alone
+        return 0.0, 0.0
+    spec = HilbertSpec(1)
+    d = spec.dimension
+    liou = build_liouvillian(params, spec)
+    one = [spec.index(1, 0), spec.index(0, 1)]
+    rho_idx = [i + d * j for j in one for i in one]  # vec(rho) on {|e,0>, |g,1>}^2
+    coh_idx = [spec.index(0, 0) + d * j for j in one]  # vec of |g,0><j|
+    a_blk = liou[np.ix_(rho_idx, rho_idx)]
+    b_blk = liou[np.ix_(coh_idx, coh_idx)]
+    a = annihilation(spec)
+    s_map = np.kron(np.eye(d), a)[np.ix_(coh_idx, rho_idx)]  # rho -> a rho
+    x0 = vec(excited_emitter_state(spec))[rho_idx]
+    n_row = vec(number_operator(spec).T)[rho_idx]  # tr(n rho)
+    w = vec(a.conj())[coh_idx]  # tr(a^dag X)
+
+    cond = np.linalg.cond(a_blk)
+    if not cond * np.finfo(float).eps < 1.0:
+        raise NonConvergedError(
+            f"non-converged integral: one-excitation block singular to working precision"
+            f" (condition number {cond:.1e})"
+        )
+    n_int = (n_row @ np.linalg.solve(-a_blk, x0)).real
+    z = _lyapunov(a_blk, -np.outer(x0, x0.conj()))
+    y = _lyapunov(b_blk, -s_map @ z @ s_map.conj().T)
+    return float(n_int), float((w @ y @ w.conj()).real)
 
 
-def _emission_horizon(
-    liouvillian: np.ndarray,
-    v0: np.ndarray,
-    exc_vec: np.ndarray,
-    params: SystemParams,
-    numerics: EmissionNumerics,
-) -> tuple[float, float, bool]:
-    """Find T with residual excitation below target; (T, residual, capped)."""
-    t_cap = numerics.horizon_cap_factor / _min_positive_decay(params)
-    kappa, g = params.kappa, params.g
-    purcell = 0.0
-    if kappa > 0.0 and g > 0.0:
-        purcell = 4.0 * g**2 * kappa / (kappa**2 + 4.0 * params.delta_ca**2 + 4.0 * g**2)
-    rate0 = params.gamma + purcell
-    t = t_cap if rate0 <= 0.0 else min(-math.log(numerics.residual_target) * 1.5 / rate0, t_cap)
+def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with a X + X a^H = q, refined twice against its own residual.
 
-    while True:
-        prop = expm(liouvillian * (t / 8.0))
-        v = v0
-        for _ in range(8):
-            v = prop @ v
-        residual = float((exc_vec @ v).real)
-        if residual <= numerics.residual_target:
-            return t, residual, False
-        if t >= t_cap:
-            warnings.warn(
-                f"emission horizon capped at {numerics.horizon_cap_factor}/min(kappa,gamma)"
-                f" with residual excitation {residual:.2e}",
-                stacklevel=2,
-            )
-            return t, residual, True
-        t = min(1.6 * t, t_cap)
-
-
-def emission_time_grid(
-    t_final: float, params: SystemParams, numerics: EmissionNumerics
-) -> np.ndarray:
-    """Piecewise-uniform grid on [0, t_final] with dyadic late-time coarsening.
-
-    Segment k of ``coarsen_levels`` covers a 2^k-sized share of the window
-    with a 2^k-times larger step, so every segment carries roughly the same
-    number of points and the union stays below ``max_axis_points``.
+    The photon entries of the emission Gramians can sit many orders below
+    the largest entry (weak coupling, far detuning), where one
+    Bartels-Stewart solve leaves them with relative errors up to ~1e-6 or
+    worse. Each refinement step solves for the correction from the
+    residual; two steps bring I back to ~1e-13 or better, except for
+    g below ~1e-6 kappa with kappa = gamma, where about 1e-8 remains.
     """
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    rate_fast = max(
-        2.0 * params.g,
-        params.kappa,
-        params.gamma_coherence,
-        abs(params.delta_ca),
-    )
-    if rate_fast <= 0.0:
-        rate_fast = 1.0 / t_final
-    dt0 = (2.0 * math.pi / rate_fast) / numerics.points_per_period
-
-    levels = numerics.coarsen_levels
-    denom = float(2**levels - 1)
-    # enforce the point budget by scaling the base step if needed
-    budget_dt0 = levels * t_final / (denom * numerics.max_axis_points)
-    dt0 = max(dt0, budget_dt0)
-
-    bounds = [t_final * (2**k - 1) / denom for k in range(levels + 1)]
-    pieces = [np.array([0.0])]
-    for k in range(levels):
-        seg = bounds[k + 1] - bounds[k]
-        n_steps = max(int(math.ceil(seg / (dt0 * 2**k))), 2)
-        pieces.append(np.linspace(bounds[k], bounds[k + 1], n_steps + 1)[1:])
-    return np.concatenate(pieces)
+    x = solve_continuous_lyapunov(a, q)
+    for _ in range(2):
+        x = x + solve_continuous_lyapunov(a, q - a @ x - x @ a.conj().T)
+    return x
 
 
 def _clamp_unit(value: float, name: str) -> float:
@@ -172,47 +108,25 @@ def cooperativity(params: SystemParams) -> float:
     return params.cooperativity()
 
 
-def cavity_efficiency(
-    params: SystemParams,
-    spec: HilbertSpec | None = None,
-    numerics: EmissionNumerics | None = None,
-    channel: str = "total",
-) -> float:
+def cavity_efficiency(params: SystemParams, channel: str = "total") -> float:
     """Probability that the initial excitation is emitted by the cavity.
 
     ``channel="total"`` returns beta = kappa * int <a^dag a> dt; with
     ``channel="waveguide"`` only the waveguide share kappa_wg enters, i.e.
     beta_wg = (kappa_wg / kappa) * beta.
 
-    Raises NonConvergedError("non-converged integral...") if the horizon
-    cap is reached while more than ``residual_error_threshold`` of the
-    excitation is still stored.
+    Raises NonConvergedError("non-converged integral...") if part of the
+    excitation never decays (kappa = gamma = 0, or g = gamma = 0) or
+    decays too slowly to resolve in double precision.
     """
     if channel not in ("total", "waveguide"):
         raise ValueError(f"unknown channel {channel!r}")
-    spec = spec or HilbertSpec(1)
-    numerics = numerics or EmissionNumerics()
-    liou = build_liouvillian(params, spec)
-    v0 = vec(excited_emitter_state(spec))
-    exc_vec = vec(excitation_operator(spec).T)
-    t_final, residual, capped = _emission_horizon(liou, v0, exc_vec, params, numerics)
-    if capped and residual > numerics.residual_error_threshold:
-        raise NonConvergedError(
-            f"non-converged integral: residual excitation {residual:.2e} at the horizon cap"
-        )
-    n_vec = vec(number_operator(spec).T)
-    (integral_n,), _ = propagate_integrals(
-        liou, v0, t_final, [n_vec], n_steps=numerics.integral_steps
-    )
+    integral_n, _ = _emission_integrals(params)
     scale = params.kappa if channel == "total" else params.kappa_wg
-    return _clamp_unit(scale * integral_n.real, "beta")
+    return _clamp_unit(scale * integral_n, "beta")
 
 
-def indistinguishability(
-    params: SystemParams,
-    spec: HilbertSpec | None = None,
-    numerics: EmissionNumerics | None = None,
-) -> float:
+def indistinguishability(params: SystemParams) -> float:
     """Two-photon interference visibility of successive cavity emissions.
 
     Normalized first-order coherence of the emitted field,
@@ -221,40 +135,16 @@ def indistinguishability(
             -----------------------------------------
             int dt int dtau <n(t+tau)> <n(t)>
 
-    evaluated by the quantum regression theorem on a product grid. Both
-    integrals use the same trapezoid weights, so the dephasing-free limit
-    returns exactly 1. Without coupling there is no cavity photon and the
-    ratio is undefined: g == 0 raises ValueError.
+    from the one-excitation block solve (module docstring); the
+    dephasing-free limit is 1 to round-off. Without coupling there is no
+    cavity photon and the ratio is undefined: g == 0 raises ValueError.
     """
     if params.g <= 0.0:
         raise ValueError("indistinguishability undefined for g == 0 (no cavity emission)")
-    spec = spec or HilbertSpec(1)
-    numerics = numerics or EmissionNumerics()
-    liou = build_liouvillian(params, spec)
-    rho0 = excited_emitter_state(spec)
-    v0 = vec(rho0)
-    exc_vec = vec(excitation_operator(spec).T)
-    t_final, residual, capped = _emission_horizon(liou, v0, exc_vec, params, numerics)
-    if capped and residual > numerics.residual_error_threshold:
-        raise NonConvergedError(
-            f"non-converged integral: residual excitation {residual:.2e} at the horizon cap"
-        )
-    grid = emission_time_grid(t_final, params, numerics)
-
-    a_op = annihilation(spec)
-    field_corr = two_time_correlation(
-        liou, rho0, a_op.conj().T, a_op, grid, grid, backend="expm"
-    ).values
-    number_corr = two_time_correlation(
-        liou, rho0, number_operator(spec), identity(spec), grid, grid, backend="expm"
-    ).values.real
-
-    n_of_t = number_corr[:, 0]
-    numerator = trapezoid(trapezoid(np.abs(field_corr) ** 2, grid, axis=1), grid)
-    denominator = trapezoid(trapezoid(number_corr * n_of_t[:, None], grid, axis=1), grid)
-    if not np.isfinite(denominator) or denominator <= 0.0:
+    integral_n, overlap = _emission_integrals(params)
+    if not integral_n > 0.0:
         raise ValueError("indistinguishability undefined: no cavity emission recorded")
-    return _clamp_unit(float(numerator / denominator), "indistinguishability")
+    return _clamp_unit(overlap / (0.5 * integral_n**2), "indistinguishability")
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +230,6 @@ class FomResult:
     v_norm: float | None
     status: str
     params: SystemParams
-    numerics: EmissionNumerics
 
 
 def _sweep_point(
@@ -348,8 +237,6 @@ def _sweep_point(
     g: float,
     dipole: DipoleSpec | None,
     medium_index: float | None,
-    spec: HilbertSpec,
-    numerics: EmissionNumerics,
 ) -> FomResult:
     params = replace(base, g=g)
     v_m3 = v_norm = None
@@ -359,9 +246,9 @@ def _sweep_point(
         if medium_index is not None:
             v_norm = v_m3 / (params.wavelength / medium_index) ** 3
     try:
-        beta = cavity_efficiency(params, spec, numerics, channel="total")
+        beta = cavity_efficiency(params, channel="total")
         beta_wg = beta * (params.kappa_wg / params.kappa) if params.kappa > 0.0 else 0.0
-        indist = indistinguishability(params, spec, numerics)
+        indist = indistinguishability(params)
         coop = cooperativity(params)
         status = "ok"
     except (NonConvergedError, ValueError) as exc:
@@ -377,7 +264,6 @@ def _sweep_point(
         v_norm=v_norm,
         status=status,
         params=params,
-        numerics=numerics,
     )
 
 
@@ -389,16 +275,13 @@ def fom_sweep(
     volume_units: str = "m3",
     dipole: DipoleSpec | None = None,
     medium_index: float | None = None,
-    spec: HilbertSpec | None = None,
-    numerics: EmissionNumerics | None = None,
-    workers: int = 1,
 ) -> list[FomResult]:
     """Evaluate beta, I and C over couplings or mode volumes.
 
     Exactly one of ``g_values`` (rad/s) and ``volumes`` must be given;
     volumes are converted through the dipole context first. Points are
     independent: a failure is recorded in the row status instead of
-    aborting the sweep, and the result order never depends on ``workers``.
+    aborting the sweep.
     """
     if (g_values is None) == (volumes is None):
         raise ValueError("provide exactly one of g_values or volumes")
@@ -409,22 +292,10 @@ def fom_sweep(
             g_from_mode_volume(v, dipole, base.omega, volume_units, medium_index)
             for v in volumes
         ]
-    g_values = [float(g) for g in g_values]
-    spec = spec or HilbertSpec(1)
-    numerics = numerics or EmissionNumerics()
-
-    def point(g: float) -> FomResult:
-        return _sweep_point(base, g, dipole, medium_index, spec, numerics)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, g_values))
-    return [point(g) for g in g_values]
+    return [_sweep_point(base, float(g), dipole, medium_index) for g in g_values]
 
 
 __all__ = [
-    "EmissionNumerics",
-    "emission_time_grid",
     "cooperativity",
     "cavity_efficiency",
     "indistinguishability",

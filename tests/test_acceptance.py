@@ -211,8 +211,8 @@ def test_criterion_04_efficiency_and_indistinguishability_trends():
     start = time.monotonic()
     g_values = [ghz(v) for v in (0.5, 1, 2, 5, 10, 20, 50)]
     base = SystemParams(g=ghz(1), kappa_wg=ghz(10), gamma=mhz(100), gamma_star=mhz(50))
-    res_lo = fom_sweep(base, g_values=g_values, workers=4)
-    res_hi = fom_sweep(replace(base, gamma_star=ghz(1)), g_values=g_values, workers=4)
+    res_lo = fom_sweep(base, g_values=g_values)
+    res_hi = fom_sweep(replace(base, gamma_star=ghz(1)), g_values=g_values)
     assert all(r.status == "ok" for r in res_lo + res_hi)
 
     beta = np.array([r.beta for r in res_lo])
