@@ -1,5 +1,8 @@
 """Unit-tagged JSON config parsing and validation."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,3 +201,171 @@ def test_require_names_missing_block():
     cfg = parse_config("{}")
     with pytest.raises(ConfigError, match="fom-sweep"):
         cfg.require("sweep", "fom-sweep")
+
+
+# One bad config for every ConfigError the reader raises, with the full
+# message: the texts are part of the CLI contract (exit-2 stderr JSON).
+_GHZ = '{"value": 1, "unit": "GHz"}'
+_AXIS = f'"start": {_GHZ}, "stop": {{"value": 2, "unit": "GHz"}}'
+_MU = '"mu": {"value": 2.31, "unit": "Debye"}'
+ERROR_TEXTS = [
+    ("[1,", "config is not valid JSON: Expecting value: line 1 column 4 (char 3)"),
+    ("[]", "config: expected an object, got list"),
+    ('{"sweeep": {}}', "config: unknown key 'sweeep', did you mean 'sweep'?"),
+    ('{"system": 5}', "system: expected an object, got int"),
+    (
+        f'{{"system": {{"kapa_wg": {_GHZ}}}}}',
+        "system: unknown key 'kapa_wg', did you mean 'kappa_wg'?",
+    ),
+    ('{"system": {"zzz": 1}}', "system: unknown key 'zzz'"),
+    (
+        '{"system": {"g": {"value": 1, "unit": "GHz", "tag": 1}}}',
+        "system.g: unknown key 'tag'",
+    ),
+    (
+        '{"system": {"g": {"value": "1", "unit": "GHz"}}}',
+        "system.g.value: expected a number, got '1'",
+    ),
+    (
+        '{"system": {"g": {"value": Infinity, "unit": "GHz"}}}',
+        "system.g.value: value must be finite, got inf",
+    ),
+    (
+        '{"system": {"g": {"value": 10}}}',
+        "system.g: physical quantity needs an explicit 'unit' tag",
+    ),
+    (
+        '{"system": {"g": {"value": 10, "unit": "Ghz"}}}',
+        "system.g.unit: 'Ghz' is not a frequency unit"
+        " (known: Hz, kHz, MHz, GHz, THz, rad/s), did you mean 'GHz'?",
+    ),
+    ('{"system": {"g": {"unit": "GHz"}}}', "system.g: missing 'value'"),
+    (
+        '{"sweep": {"g": {"value": 1, "values": [1], "unit": "GHz"}}}',
+        "sweep.g: give either 'value' or 'values', not both",
+    ),
+    ('{"sweep": {"g": {"values": [], "unit": "GHz"}}}', "sweep.g.values: expected a non-empty list"),
+    (
+        '{"system": {"wavelength": {"value": 0, "unit": "nm"}}}',
+        "system.wavelength: must be positive",
+    ),
+    (
+        '{"system": {"g": {"value": -1, "unit": "rad/s"}}}',
+        "system: g must be finite and >= 0, got -1.0",
+    ),
+    ('{"dipole": {}}', "dipole: missing 'mu'"),
+    (
+        f'{{"dipole": {{{_MU}, "overlap_xi": 2}}}}',
+        "dipole: overlap_xi must be in (0, 1], got 2.0",
+    ),
+    (
+        f'{{"dipole": {{{_MU}, "orientation": [1, "y", 0]}}}}',
+        "dipole.orientation[1]: expected a number, got 'y'",
+    ),
+    ('{"hilbert": {"n_max": 1.5}}', "hilbert: hilbert.n_max: expected an integer, got 1.5"),
+    ('{"hilbert": {"n_max": 0}}', "hilbert: n_max must be an integer >= 1, got 0"),
+    ('{"spin": {}}', "spin: missing 'zeeman_split'"),
+    (
+        f'{{"spin": {{"zeeman_split": {_GHZ}, "drift_interpretation": "hwhm"}}}}',
+        "spin: drift_interpretation must be 'sigma' or 'fwhm'",
+    ),
+    (f'{{"probe": {{{_AXIS}}}}}', "probe: missing 'points'"),
+    (f'{{"probe": {{{_AXIS}, "points": 1}}}}', "probe.points: need at least 2 points"),
+    (
+        f'{{"probe": {{"start": {_GHZ}, "stop": {_GHZ}, "points": 3}}}}',
+        "probe: stop must exceed start",
+    ),
+    (f'{{"contrast": {{"stop": {_GHZ}, "points": 3}}}}', "contrast: missing 'start'"),
+    (
+        f'{{"contrast": {{{_AXIS}, "points": 3, "probe_policy": "sweep"}}}}',
+        "contrast.probe_policy: must be 'max-contrast' or a tagged frequency",
+    ),
+    ('{"sweep": {}}', "sweep: give exactly one of 'g' or 'volume'"),
+    (
+        '{"sweep": {"volume": {"values": [1], "unit": "nm^3"}}}',
+        "sweep.volume.unit: 'nm^3' is not a volume unit"
+        " (known: m3, um3, nm3, lambda_n3), did you mean 'nm3'?",
+    ),
+    (
+        '{"sweep": {"volume": {"values": [1]}}}',
+        "sweep.volume.unit: None is not a volume unit (known: m3, um3, nm3, lambda_n3)",
+    ),
+    (
+        '{"sweep": {"volume": {"values": [], "unit": "nm3"}}}',
+        "sweep.volume: expected 'value' or a non-empty 'values' list",
+    ),
+    ('{"grid": {}}', "grid: missing grid file 'path'"),
+    ('{"grid": {"path": 5}}', "grid: missing grid file 'path'"),
+    ('{"grid": {"path": "m.fgrd", "format": "vtk"}}', "grid.format: must be 'fgrd' or 'csv'"),
+    (
+        '{"synth": {"preset": "bowtie"}}',
+        "synth.preset: unknown preset 'bowtie' (known: default, ultra-confined)",
+    ),
+    (
+        '{"synth": {"preset": "default", "size": {"values": [1, 2], "unit": "nm"}}}',
+        "synth.size: need exactly three lengths",
+    ),
+    (
+        '{"synth": {"preset": "default", "shape": [1, 2]}}',
+        "synth.shape: need a list of three integers",
+    ),
+    ('{"synth": {"preset": "default", "output": ""}}', "synth.output: expected a file name"),
+    (
+        '{"synth": {"sigma": {"value": 30, "unit": "nm"}}}',
+        "synth: missing 'size' (or use a 'preset')",
+    ),
+    (
+        '{"synth": {"preset": "default", "eps_dielectric": 1.0}}',
+        "synth: eps_dielectric must exceed 1",
+    ),
+    ('{"implant": {}}', "implant: missing 'diameters'"),
+    (
+        '{"implant": {"diameters": {"values": [0, -1], "unit": "nm"}}}',
+        "implant.diameters: must be >= 0",
+    ),
+    (
+        '{"implant": {"diameters": {"value": 0, "unit": "nm"},'
+        ' "center": {"values": [1, 2, 3], "unit": "nm"}}}',
+        "implant.center: need exactly (x, y)",
+    ),
+    (
+        '{"implant": {"diameters": {"value": 0, "unit": "nm"}, "plane": true}}',
+        "implant.plane: expected an index or plane policy string",
+    ),
+    (
+        '{"implant": {"diameters": {"value": 0, "unit": "nm"}, "bins": 1}}',
+        "implant.bins: must be >= 2",
+    ),
+    (
+        '{"implant": {"diameters": {"value": 0, "unit": "nm"},'
+        ' "violin_diameter": {"value": -1, "unit": "nm"}}}',
+        "implant.violin_diameter: must be >= 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", ERROR_TEXTS)
+def test_config_error_texts(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+def test_require_error_text():
+    with pytest.raises(ConfigError) as info:
+        parse_config("{}").require("sweep", "fom-sweep")
+    assert str(info.value) == "command 'fom-sweep' needs the config block 'sweep'"
+
+
+README_JSON = re.findall(
+    r"^```json\n(.*?)^```", (Path(__file__).parents[1] / "README.md").read_text(), re.M | re.S
+)
+
+
+def test_readme_has_config_examples():
+    assert len(README_JSON) >= 3
+
+
+@pytest.mark.parametrize("text", README_JSON)
+def test_readme_config_examples_parse(text):
+    parse_config(text)
