@@ -42,7 +42,7 @@ import numpy as np
 from . import fieldgrid
 from .config import RunConfig, parse_config
 from .errors import ConfigError, GridFormatError, NonConvergedError
-from .fom import fom_sweep, mode_volume_from_coupling
+from .fom import fom_sweep
 from .implant import ImplantRegion, implant_distribution, median_vs_D_curve, violin_export
 from .params import DipoleSpec
 from .reflection import contrast_curve, reflectivity, spin_spectra
@@ -168,7 +168,7 @@ def _medium_index(cfg: RunConfig) -> float:
     return DEFAULT_MEDIUM_INDEX
 
 
-def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str) -> None:
     base = cfg.require("system", "fom-sweep")
     sweep = cfg.require("sweep", "fom-sweep")
     dipole = cfg.dipole or DEFAULT_DIPOLE
@@ -181,17 +181,10 @@ def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
         dipole=dipole,
         medium_index=medium,
     )
-    volumes = []
-    for r in results:
-        v_norm = r.v_norm
-        if v_norm is None and r.g > 0.0:
-            v_norm = mode_volume_from_coupling(
-                r.g, dipole, base.omega, units="lambda_n3", medium_index=medium
-            )
-        volumes.append(v_norm if v_norm is not None else float("nan"))
     columns = {
         "g_GHz": to_ghz(np.array([r.g for r in results])),
-        "V_lambda_n3": np.array(volumes),
+        # v_norm is None only where g = 0, which maps to no finite volume
+        "V_lambda_n3": np.array([math.nan if r.v_norm is None else r.v_norm for r in results]),
         "beta": np.array([r.beta for r in results]),
         "beta_wg": np.array([r.beta_wg for r in results]),
         "indist": np.array([r.indist for r in results]),
@@ -201,7 +194,7 @@ def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     _write_table(os.path.join(out, _table_name("fom_sweep", fmt)), columns, fmt)
 
 
-def cmd_spectrum(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_spectrum(cfg: RunConfig, out: str, fmt: str) -> None:
     params = cfg.require("system", "spectrum")
     probe = cfg.require("probe", "spectrum")
     if cfg.spin is not None:
@@ -213,7 +206,7 @@ def cmd_spectrum(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     _write_table(os.path.join(out, _table_name("spectrum", fmt)), columns, fmt)
 
 
-def cmd_contrast(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_contrast(cfg: RunConfig, out: str, fmt: str) -> None:
     params = cfg.require("system", "contrast")
     spin = cfg.require("spin", "contrast")
     detunings = cfg.require("contrast_detunings", "contrast")
@@ -227,7 +220,7 @@ def cmd_contrast(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     _write_table(os.path.join(out, _table_name("contrast", fmt)), columns, fmt)
 
 
-def cmd_modevol(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_modevol(cfg: RunConfig, out: str, fmt: str) -> None:
     grid = _load_field(cfg, "modevol")
     res = fieldgrid.mode_volume(grid)
     row = {
@@ -245,7 +238,7 @@ def cmd_modevol(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     _write_table(os.path.join(out, _table_name("modevol", fmt)), columns, fmt)
 
 
-def cmd_gmap(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_gmap(cfg: RunConfig, out: str, fmt: str) -> None:
     dipole = cfg.dipole or DEFAULT_DIPOLE
     field = fieldgrid.g_field(_load_field(cfg, "gmap"), dipole)
     nx, ny, nz = field.shape
@@ -265,7 +258,7 @@ def cmd_gmap(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     _write_table(os.path.join(out, _table_name("gmap", fmt)), columns, fmt)
 
 
-def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str) -> None:
     settings = cfg.require("implant", "implant-stats")
     grid = _load_field(cfg, "implant-stats")
     dipole = cfg.dipole or DEFAULT_DIPOLE
@@ -317,7 +310,7 @@ def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
     log.info("wrote %s", path)
 
 
-def cmd_synth_field(cfg: RunConfig, out: str, fmt: str, threads: int) -> None:
+def cmd_synth_field(cfg: RunConfig, out: str, fmt: str) -> None:
     spec = cfg.require("synth", "synth-field")
     grid = fieldgrid.synth_mode(spec)
     path = os.path.join(out, cfg.synth_output)
@@ -371,7 +364,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
         os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.command](cfg, args.out, args.fmt, args.threads)
+        COMMANDS[args.command](cfg, args.out, args.fmt)
     except ConfigError as exc:
         _emit_error("ConfigError", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG

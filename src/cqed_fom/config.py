@@ -1,14 +1,16 @@
 """JSON run configuration with mandatory unit tags.
 
 Every physical quantity in a config is an object ``{"value": x, "unit":
-"GHz"}`` (lists allowed where noted); bare numbers are accepted only for
-dimensionless fields. All frequencies convert to angular rad/s on read,
-lengths to metres, dipole moments to C*m, so downstream code never sees
-a unit ambiguity. Unknown keys are rejected with a nearest-match
-suggestion, and every error names the offending config path.
+"GHz"}`` (``"values": [...]`` where a list is allowed); bare numbers are
+accepted only for dimensionless fields. Frequencies convert to angular
+rad/s on read, lengths to metres, dipole moments to C*m and absolute
+volumes to m^3, so downstream code never sees a unit ambiguity.
 
-Recognized blocks (all optional at parse time; each command checks for
-the blocks it needs):
+Each block is a key table plus a builder, applied by one reader that
+rejects unknown keys with a nearest-match suggestion; every error names
+the offending config path. README.md lists each key with its unit,
+default and constraint. Blocks (all optional at parse time; each
+command checks for the blocks it needs):
 
     system    SystemParams fields (g, kappa_wg, kappa_sc, gamma,
               gamma_star, delta_ca, wavelength)
@@ -28,37 +30,44 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .fieldgrid import DEFAULT_SYNTH_SPEC, ULTRA_CONFINED_SYNTH_SPEC, SynthModeSpec
 from .params import DEFAULT_WAVELENGTH, DipoleSpec, HilbertSpec, SystemParams
 from .reflection import SpinConfig
 from .units import DIPOLE_UNITS, FREQUENCY_UNITS, LENGTH_UNITS, TWO_PI, VOLUME_UNITS
 
-from .constants import SPEED_OF_LIGHT
-
 _DIMENSIONS = {
     "frequency": FREQUENCY_UNITS,
     "length": LENGTH_UNITS,
     "dipole": DIPOLE_UNITS,
+    # lambda_n3 values are kept as given: they need the wavelength context
+    "volume": {**VOLUME_UNITS, "lambda_n3": float},
 }
+_PRESETS = {"default": DEFAULT_SYNTH_SPEC, "ultra-confined": ULTRA_CONFINED_SYNTH_SPEC}
 
 
-def _reject_unknown(mapping: dict, allowed, path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            hint = difflib.get_close_matches(key, list(allowed), n=1)
-            suggestion = f", did you mean {hint[0]!r}?" if hint else ""
-            raise ConfigError(f"{path}: unknown key {key!r}{suggestion}")
+def _suggest(word, known) -> str:
+    """The ", did you mean ...?" tail for the known word nearest ``word``, if any."""
+    hint = difflib.get_close_matches(str(word), list(known), n=1)
+    return f", did you mean {hint[0]!r}?" if hint else ""
 
 
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object, got {type(node).__name__}")
     return node
+
+
+def _reject_unknown(node: dict, allowed, path: str) -> None:
+    for key in node:
+        if key not in allowed:
+            raise ConfigError(f"{path}: unknown key {key!r}{_suggest(key, allowed)}")
 
 
 def _number(node, path: str) -> float:
@@ -84,11 +93,9 @@ def quantity(node, path: str, dimension: str, allow_list: bool = False):
     unit = node["unit"]
     table = _DIMENSIONS[dimension]
     if unit not in table:
-        hint = difflib.get_close_matches(str(unit), list(table), n=1)
-        suggestion = f", did you mean {hint[0]!r}?" if hint else ""
         raise ConfigError(
             f"{path}.unit: {unit!r} is not a {dimension} unit"
-            f" (known: {', '.join(table)}){suggestion}"
+            f" (known: {', '.join(table)}){_suggest(unit, table)}"
         )
     convert = table[unit]
     if allow_list and "values" in node:
@@ -153,263 +160,237 @@ class RunConfig:
         return value
 
 
-def _parse_system(node, path: str) -> SystemParams:
+# ---------------------------------------------------------------------------
+# key tables and builders: one pair per block, read by ``_read_block``
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one config key is read.
+
+    ``read`` is a unit dimension (a tagged quantity; with ``many`` also a
+    list, read as an array) or a reader ``(node, path) -> value``. A value
+    failing ``check = (test, message)`` is the error ``"<path>: <message>"``;
+    a ``nullable`` key reads null as None.
+    """
+
+    read: str | Callable
+    check: tuple[Callable, str] | None = None
+    required: bool = False
+    nullable: bool = False
+    many: bool = False
+
+    def __call__(self, node, path: str):
+        if node is None and self.nullable:
+            return None
+        if callable(self.read):
+            value = self.read(node, path)
+        elif self.many:
+            value = np.atleast_1d(quantity(node, path, self.read, allow_list=True))
+        else:
+            value = quantity(node, path, self.read)
+        if self.check is not None and not self.check[0](value):
+            raise ConfigError(f"{path}: {self.check[1]}")
+        return value
+
+
+def _read_block(node, path: str, table: dict, build: Callable, prefix: str | None = None):
+    """Check and read the keys of one config object in table order, then build it.
+
+    A key's path is ``prefix + key`` (default ``path + "."``); a ValueError
+    of ``build`` is reported against ``path``.
+    """
     node = _require_mapping(node, path)
-    fields = ("g", "kappa_wg", "kappa_sc", "gamma", "gamma_star", "delta_ca", "wavelength")
-    _reject_unknown(node, fields, path)
-    rates = {}
-    for name in fields[:-1]:
-        if name in node:
-            rates[name] = quantity(node[name], f"{path}.{name}", "frequency")
-    kwargs = dict(rates)
-    kwargs.setdefault("g", 0.0)
-    kwargs.setdefault("kappa_wg", 0.0)
-    kwargs.setdefault("gamma", 0.0)
-    if "wavelength" in node:
-        wl = quantity(node["wavelength"], f"{path}.wavelength", "length")
-        if wl <= 0.0:
-            raise ConfigError(f"{path}.wavelength: must be positive")
-        kwargs["omega"] = TWO_PI * SPEED_OF_LIGHT / wl
-    try:
-        return SystemParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_dipole(node, path: str) -> DipoleSpec:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("mu", "orientation", "overlap_xi"), path)
-    if "mu" not in node:
-        raise ConfigError(f"{path}: missing 'mu'")
-    mu = quantity(node["mu"], f"{path}.mu", "dipole")
-    orientation = node.get("orientation", "aligned")
-    if isinstance(orientation, list):
-        orientation = tuple(
-            _number(v, f"{path}.orientation[{i}]") for i, v in enumerate(orientation)
-        )
-    xi = _number(node.get("overlap_xi", 1.0), f"{path}.overlap_xi")
-    try:
-        return DipoleSpec(mu=mu, orientation=orientation, overlap_xi=xi)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_hilbert(node, path: str) -> HilbertSpec:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("n_max",), path)
-    try:
-        return HilbertSpec(n_max=_integer(node.get("n_max", 1), f"{path}.n_max"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_spin(node, path: str) -> SpinConfig:
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node, ("zeeman_split", "spin_down_offset", "drift", "drift_interpretation"), path
-    )
-    if "zeeman_split" not in node:
-        raise ConfigError(f"{path}: missing 'zeeman_split'")
-    kwargs = {"zeeman_split": quantity(node["zeeman_split"], f"{path}.zeeman_split", "frequency")}
-    if "spin_down_offset" in node:
-        kwargs["spin_down_offset"] = quantity(
-            node["spin_down_offset"], f"{path}.spin_down_offset", "frequency"
-        )
-    if "drift" in node:
-        kwargs["drift"] = quantity(node["drift"], f"{path}.drift", "frequency")
-    if "drift_interpretation" in node:
-        kwargs["drift_interpretation"] = node["drift_interpretation"]
-    try:
-        return SpinConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_axis(node, path: str) -> np.ndarray:
-    """A uniform scan axis: start/stop quantities plus a point count."""
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("start", "stop", "points"), path)
-    for key in ("start", "stop", "points"):
-        if key not in node:
+    _reject_unknown(node, table, path)
+    for key, spec in table.items():
+        if spec.required and key not in node:
             raise ConfigError(f"{path}: missing {key!r}")
-    start = quantity(node["start"], f"{path}.start", "frequency")
-    stop = quantity(node["stop"], f"{path}.stop", "frequency")
-    points = _integer(node["points"], f"{path}.points")
-    if points < 2:
-        raise ConfigError(f"{path}.points: need at least 2 points")
+    prefix = f"{path}." if prefix is None else prefix
+    values = {key: spec(node[key], prefix + key) for key, spec in table.items() if key in node}
+    try:
+        return build(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _as_given(node, path: str):
+    """A value that a check or the block's builder validates."""
+    return node
+
+
+def _orientation(node, path: str):
+    if isinstance(node, list):
+        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(node))
+    if not isinstance(node, str):
+        raise ConfigError(f"{path}: expected 'aligned' or a list of three numbers, got {node!r}")
+    return node
+
+
+def _probe_policy(node, path: str):
+    if isinstance(node, dict):
+        return quantity(node, path, "frequency")
+    if node != "max-contrast":
+        raise ConfigError(f"{path}: must be 'max-contrast' or a tagged frequency")
+    return node
+
+
+def _volumes(node, path: str) -> tuple[np.ndarray, str]:
+    """Volumes in m^3, or as given in units of (lambda/n)^3."""
+    volumes = np.atleast_1d(quantity(node, path, "volume", allow_list=True))
+    return volumes, "lambda_n3" if node["unit"] == "lambda_n3" else "m3"
+
+
+def _preset(node, path: str) -> SynthModeSpec:
+    if not isinstance(node, str) or node not in _PRESETS:
+        raise ConfigError(f"{path}: unknown preset {node!r} (known: {', '.join(_PRESETS)})")
+    return _PRESETS[node]
+
+
+def _shape(node, path: str) -> tuple[int, int, int]:
+    if not isinstance(node, list) or len(node) != 3:
+        raise ConfigError(f"{path}: need a list of three integers")
+    return tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(node))
+
+
+_POSITIVE = (lambda v: np.all(v > 0.0), "must be positive")
+_NON_NEGATIVE = (lambda v: np.all(v >= 0.0), "must be >= 0")
+_FORMAT = (lambda v: v in ("fgrd", "csv"), "must be 'fgrd' or 'csv'")
+_FILE_NAME = (lambda v: isinstance(v, str) and v != "", "expected a file name")
+_PLANE = (
+    lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
+    "expected an index or plane policy string",
+)
+
+_SYSTEM = {
+    **dict.fromkeys(
+        ("g", "kappa_wg", "kappa_sc", "gamma", "gamma_star", "delta_ca"), _Key("frequency")
+    ),
+    "wavelength": _Key("length", _POSITIVE),
+}
+_DIPOLE = {
+    "mu": _Key("dipole", required=True),
+    "orientation": _Key(_orientation),
+    "overlap_xi": _Key(_number),
+}
+_HILBERT = {"n_max": _Key(_integer)}
+_SPIN = {
+    "zeeman_split": _Key("frequency", required=True),
+    "spin_down_offset": _Key("frequency"),
+    "drift": _Key("frequency"),
+    "drift_interpretation": _Key(_as_given),
+}
+_AXIS = {
+    "start": _Key("frequency", required=True),
+    "stop": _Key("frequency", required=True),
+    "points": _Key(_integer, (lambda n: n >= 2, "need at least 2 points"), required=True),
+}
+_CONTRAST = {**_AXIS, "probe_policy": _Key(_probe_policy)}
+_SWEEP = {"g": _Key("frequency", many=True), "volume": _Key(_volumes)}
+_GRID = {
+    "path": _Key(_as_given),
+    "format": _Key(_as_given, _FORMAT, nullable=True),
+    "wavelength": _Key("length", _POSITIVE),
+    "n_ref": _Key(_number, _POSITIVE),
+}
+_SYNTH = {
+    "preset": _Key(_preset),
+    "size": _Key("length", (lambda v: v.size == 3, "need exactly three lengths"), many=True),
+    "shape": _Key(_shape),
+    "period": _Key("length"),
+    "sigma": _Key("length"),
+    "bridge_half_width": _Key("length"),
+    "hole_half_length": _Key("length"),
+    "beam_half_width": _Key("length", nullable=True),
+    "beam_half_height": _Key("length", nullable=True),
+    "eps_dielectric": _Key(_number),
+    "wavelength": _Key("length", _POSITIVE),
+    "n_ref": _Key(_number, _POSITIVE),
+    "output": _Key(_as_given, _FILE_NAME),
+}
+_IMPLANT = {
+    "diameters": _Key("length", _NON_NEGATIVE, required=True, many=True),
+    "center": _Key(
+        "length", (lambda v: v.size == 2, "need exactly (x, y)"), nullable=True, many=True
+    ),
+    "plane": _Key(_as_given, _PLANE),
+    "bins": _Key(_integer, (lambda n: n >= 2, "must be >= 2")),
+    "violin_diameter": _Key("length", _NON_NEGATIVE),
+}
+
+
+def _system(wavelength: float | None = None, **rates) -> SystemParams:
+    if wavelength is not None:
+        rates["omega"] = TWO_PI * SPEED_OF_LIGHT / wavelength
+    return SystemParams(**{"g": 0.0, "kappa_wg": 0.0, "gamma": 0.0, **rates})
+
+
+def _axis(start: float, stop: float, points: int) -> np.ndarray:
+    """A uniform scan axis."""
     if stop <= start:
-        raise ConfigError(f"{path}: stop must exceed start")
+        raise ValueError("stop must exceed start")
     return np.linspace(start, stop, points)
 
 
-def _parse_sweep(node, path: str) -> SweepSpec:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("g", "volume"), path)
-    if ("g" in node) == ("volume" in node):
-        raise ConfigError(f"{path}: give exactly one of 'g' or 'volume'")
-    if "g" in node:
-        values = quantity(node["g"], f"{path}.g", "frequency", allow_list=True)
-        values = np.atleast_1d(values)
-        return SweepSpec(g_values=values)
-    vnode = _require_mapping(node["volume"], f"{path}.volume")
-    _reject_unknown(vnode, ("value", "values", "unit"), f"{path}.volume")
-    unit = vnode.get("unit")
-    if unit not in VOLUME_UNITS:
-        hint = difflib.get_close_matches(str(unit), list(VOLUME_UNITS), n=1)
-        suggestion = f", did you mean {hint[0]!r}?" if hint else ""
-        raise ConfigError(
-            f"{path}.volume.unit: {unit!r} is not a volume unit"
-            f" (known: {', '.join(VOLUME_UNITS)}){suggestion}"
-        )
-    raw = vnode.get("values", [vnode["value"]] if "value" in vnode else None)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}.volume: expected 'value' or a non-empty 'values' list")
-    values = np.array([_number(v, f"{path}.volume.values[{i}]") for i, v in enumerate(raw)])
-    if unit == "lambda_n3":
-        return SweepSpec(volumes=values, volume_units="lambda_n3")
-    return SweepSpec(volumes=np.array([VOLUME_UNITS[unit](v) for v in values]))
+def _contrast(probe_policy="max-contrast", **axis) -> tuple[np.ndarray, str | float]:
+    return _axis(**axis), probe_policy
 
 
-def _parse_grid(node, path: str) -> GridSource:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("path", "format", "wavelength", "n_ref"), path)
-    if "path" not in node or not isinstance(node["path"], str):
-        raise ConfigError(f"{path}: missing grid file 'path'")
-    fmt = node.get("format")
-    if fmt is not None and fmt not in ("fgrd", "csv"):
-        raise ConfigError(f"{path}.format: must be 'fgrd' or 'csv'")
-    wavelength = DEFAULT_WAVELENGTH
-    if "wavelength" in node:
-        wavelength = quantity(node["wavelength"], f"{path}.wavelength", "length")
-    n_ref = _number(node.get("n_ref", 2.4), f"{path}.n_ref")
-    return GridSource(path=node["path"], fmt=fmt, wavelength=wavelength, n_ref=n_ref)
+def _sweep(g=None, volume=None) -> SweepSpec:
+    if (g is None) == (volume is None):
+        raise ValueError("give exactly one of 'g' or 'volume'")
+    if g is not None:
+        return SweepSpec(g_values=g)
+    return SweepSpec(volumes=volume[0], volume_units=volume[1])
 
 
-def _parse_synth(node, path: str) -> tuple[SynthModeSpec, str]:
-    node = _require_mapping(node, path)
-    fields = (
-        "preset",
-        "size",
-        "shape",
-        "period",
-        "sigma",
-        "bridge_half_width",
-        "hole_half_length",
-        "beam_half_width",
-        "beam_half_height",
-        "eps_dielectric",
-        "wavelength",
-        "n_ref",
-        "output",
-    )
-    _reject_unknown(node, fields, path)
-    presets = {"default": DEFAULT_SYNTH_SPEC, "ultra-confined": ULTRA_CONFINED_SYNTH_SPEC}
-    base = None
-    if "preset" in node:
-        if node["preset"] not in presets:
-            raise ConfigError(
-                f"{path}.preset: unknown preset {node['preset']!r}"
-                f" (known: {', '.join(presets)})"
-            )
-        base = presets[node["preset"]]
-    kwargs = {}
-    if "size" in node:
-        size = quantity(node["size"], f"{path}.size", "length", allow_list=True)
-        size = np.atleast_1d(size)
-        if size.size != 3:
-            raise ConfigError(f"{path}.size: need exactly three lengths")
-        kwargs["size"] = tuple(float(v) for v in size)
-    if "shape" in node:
-        shape = node["shape"]
-        if not isinstance(shape, list) or len(shape) != 3:
-            raise ConfigError(f"{path}.shape: need a list of three integers")
-        kwargs["shape"] = tuple(_integer(v, f"{path}.shape[{i}]") for i, v in enumerate(shape))
-    for name in ("period", "sigma", "bridge_half_width", "hole_half_length", "wavelength"):
-        if name in node:
-            kwargs[name] = quantity(node[name], f"{path}.{name}", "length")
-    for name in ("beam_half_width", "beam_half_height"):
-        if name in node:
-            if node[name] is None:
-                kwargs[name] = None
-            else:
-                kwargs[name] = quantity(node[name], f"{path}.{name}", "length")
-    if "eps_dielectric" in node:
-        kwargs["eps_dielectric"] = _number(node["eps_dielectric"], f"{path}.eps_dielectric")
-    if "n_ref" in node:
-        kwargs["n_ref"] = _number(node["n_ref"], f"{path}.n_ref")
-    output = node.get("output", "synth_mode.fgrd")
-    if not isinstance(output, str) or not output:
-        raise ConfigError(f"{path}.output: expected a file name")
-    if base is not None:
-        merged = {
-            "size": base.size,
-            "shape": base.shape,
-            "period": base.period,
-            "sigma": base.sigma,
-            "bridge_half_width": base.bridge_half_width,
-            "hole_half_length": base.hole_half_length,
-            "beam_half_width": base.beam_half_width,
-            "beam_half_height": base.beam_half_height,
-            "eps_dielectric": base.eps_dielectric,
-            "wavelength": base.wavelength,
-            "n_ref": base.n_ref,
-        }
-        merged.update(kwargs)
-        kwargs = merged
-    else:
-        for required in ("size", "shape", "period", "sigma", "bridge_half_width"):
-            if required not in kwargs:
-                raise ConfigError(f"{path}: missing {required!r} (or use a 'preset')")
-    try:
-        return SynthModeSpec(**kwargs), output
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _grid(path=None, format=None, wavelength=DEFAULT_WAVELENGTH, n_ref=2.4) -> GridSource:
+    if not isinstance(path, str):
+        raise ValueError("missing grid file 'path'")
+    return GridSource(path=path, fmt=format, wavelength=wavelength, n_ref=n_ref)
 
 
-def _parse_implant(node, path: str) -> ImplantSettings:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("diameters", "center", "plane", "bins", "violin_diameter"), path)
-    if "diameters" not in node:
-        raise ConfigError(f"{path}: missing 'diameters'")
-    diameters = quantity(node["diameters"], f"{path}.diameters", "length", allow_list=True)
-    diameters = np.atleast_1d(diameters)
-    if np.any(diameters < 0.0):
-        raise ConfigError(f"{path}.diameters: must be >= 0")
-    center = None
-    if node.get("center") is not None:
-        c = quantity(node["center"], f"{path}.center", "length", allow_list=True)
-        c = np.atleast_1d(c)
-        if c.size != 2:
-            raise ConfigError(f"{path}.center: need exactly (x, y)")
-        center = (float(c[0]), float(c[1]))
-    plane = node.get("plane", "gmax-depth")
-    if not isinstance(plane, (int, str)) or isinstance(plane, bool):
-        raise ConfigError(f"{path}.plane: expected an index or plane policy string")
-    bins = _integer(node.get("bins", 64), f"{path}.bins")
-    if bins < 2:
-        raise ConfigError(f"{path}.bins: must be >= 2")
-    violin = None
-    if "violin_diameter" in node:
-        violin = quantity(node["violin_diameter"], f"{path}.violin_diameter", "length")
-        if violin < 0.0:
-            raise ConfigError(f"{path}.violin_diameter: must be >= 0")
-    return ImplantSettings(
-        diameters=diameters, center=center, plane=plane, bins=bins, violin_diameter=violin
-    )
+def _synth(preset=None, output="synth_mode.fgrd", **spec) -> tuple[SynthModeSpec, str]:
+    if "size" in spec:
+        spec["size"] = tuple(spec["size"].tolist())
+    if preset is not None:
+        return replace(preset, **spec), output
+    for field in fields(SynthModeSpec):
+        if field.default is MISSING and field.name not in spec:
+            raise ValueError(f"missing {field.name!r} (or use a 'preset')")
+    return SynthModeSpec(**spec), output
 
 
-_BLOCKS = (
-    "system",
-    "dipole",
-    "hilbert",
-    "spin",
-    "probe",
-    "contrast",
-    "sweep",
-    "grid",
-    "synth",
-    "implant",
-)
+def _implant(diameters, center=None, plane="gmax-depth", bins=64, violin_diameter=None):
+    center = None if center is None else tuple(center.tolist())
+    return ImplantSettings(diameters, center, plane, bins, violin_diameter)
+
+
+def _block(table: dict, build: Callable) -> _Key:
+    return _Key(lambda node, path: _read_block(node, path, table, build))
+
+
+_CONFIG = {
+    "system": _block(_SYSTEM, _system),
+    "dipole": _block(_DIPOLE, DipoleSpec),
+    "hilbert": _block(_HILBERT, HilbertSpec),
+    "spin": _block(_SPIN, SpinConfig),
+    "probe": _block(_AXIS, _axis),
+    "contrast": _block(_CONTRAST, _contrast),
+    "sweep": _block(_SWEEP, _sweep),
+    "grid": _block(_GRID, _grid),
+    "synth": _block(_SYNTH, _synth),
+    "implant": _block(_IMPLANT, _implant),
+}
+
+
+def _run_config(contrast=None, synth=None, **blocks) -> RunConfig:
+    if contrast is not None:
+        blocks["contrast_detunings"], blocks["probe_policy"] = contrast
+    if synth is not None:
+        blocks["synth"], blocks["synth_output"] = synth
+    return RunConfig(**blocks)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -418,41 +399,7 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    doc = _require_mapping(doc, "config")
-    _reject_unknown(doc, _BLOCKS, "config")
-    kwargs = {}
-    if "system" in doc:
-        kwargs["system"] = _parse_system(doc["system"], "system")
-    if "dipole" in doc:
-        kwargs["dipole"] = _parse_dipole(doc["dipole"], "dipole")
-    if "hilbert" in doc:
-        kwargs["hilbert"] = _parse_hilbert(doc["hilbert"], "hilbert")
-    if "spin" in doc:
-        kwargs["spin"] = _parse_spin(doc["spin"], "spin")
-    if "probe" in doc:
-        kwargs["probe"] = _parse_axis(doc["probe"], "probe")
-    if "contrast" in doc:
-        cnode = _require_mapping(doc["contrast"], "contrast")
-        _reject_unknown(cnode, ("start", "stop", "points", "probe_policy"), "contrast")
-        axis_node = {k: cnode[k] for k in ("start", "stop", "points") if k in cnode}
-        kwargs["contrast_detunings"] = _parse_axis(axis_node, "contrast")
-        policy = cnode.get("probe_policy", "max-contrast")
-        if isinstance(policy, dict):
-            policy = quantity(policy, "contrast.probe_policy", "frequency")
-        elif policy != "max-contrast":
-            raise ConfigError(
-                "contrast.probe_policy: must be 'max-contrast' or a tagged frequency"
-            )
-        kwargs["probe_policy"] = policy
-    if "sweep" in doc:
-        kwargs["sweep"] = _parse_sweep(doc["sweep"], "sweep")
-    if "grid" in doc:
-        kwargs["grid"] = _parse_grid(doc["grid"], "grid")
-    if "synth" in doc:
-        kwargs["synth"], kwargs["synth_output"] = _parse_synth(doc["synth"], "synth")
-    if "implant" in doc:
-        kwargs["implant"] = _parse_implant(doc["implant"], "implant")
-    return RunConfig(**kwargs)
+    return _read_block(doc, "config", _CONFIG, _run_config, prefix="")
 
 
 __all__ = [

@@ -151,16 +151,21 @@ def indistinguishability(params: SystemParams) -> float:
 # mode volume <-> coupling
 
 
+def _lambda_n3(omega: float, medium_index: float | None) -> float:
+    """(lambda/n)^3 in m^3 for the carrier ``omega`` in a medium of index n."""
+    if medium_index is None or medium_index <= 0.0:
+        raise ValueError("units='lambda_n3' needs a positive medium_index")
+    lam = 2.0 * math.pi * SPEED_OF_LIGHT / omega
+    return (lam / medium_index) ** 3
+
+
 def _volume_to_m3(
     volume: float, omega: float, units: str, medium_index: float | None
 ) -> float:
     if units == "m3":
         return volume
     if units == "lambda_n3":
-        if medium_index is None or medium_index <= 0.0:
-            raise ValueError("units='lambda_n3' needs a positive medium_index")
-        lam = 2.0 * math.pi * SPEED_OF_LIGHT / omega
-        return volume * (lam / medium_index) ** 3
+        return volume * _lambda_n3(omega, medium_index)
     raise ValueError(f"unknown volume units {units!r}")
 
 
@@ -206,10 +211,7 @@ def mode_volume_from_coupling(
     if units == "m3":
         return v_m3
     if units == "lambda_n3":
-        if medium_index is None or medium_index <= 0.0:
-            raise ValueError("units='lambda_n3' needs a positive medium_index")
-        lam = 2.0 * math.pi * SPEED_OF_LIGHT / omega
-        return v_m3 / (lam / medium_index) ** 3
+        return v_m3 / _lambda_n3(omega, medium_index)
     raise ValueError(f"unknown volume units {units!r}")
 
 
@@ -244,7 +246,7 @@ def _sweep_point(
     if dipole is not None and g > 0.0:
         v_m3 = mode_volume_from_coupling(g, dipole, params.omega)
         if medium_index is not None:
-            v_norm = v_m3 / (params.wavelength / medium_index) ** 3
+            v_norm = v_m3 / _lambda_n3(params.omega, medium_index)
     try:
         beta = cavity_efficiency(params, channel="total")
         beta_wg = beta * (params.kappa_wg / params.kappa) if params.kappa > 0.0 else 0.0

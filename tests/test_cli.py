@@ -250,6 +250,23 @@ def test_missing_required_block_is_config_error(tmp_path, capsys):
     assert "sweep" in err["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "block,message",
+    [
+        ({"grid": {"path": "mode.fgrd", "n_ref": 0}}, "grid.n_ref: must be positive"),
+        ({"grid": {"path": "mode.fgrd", "n_ref": -2.4}}, "grid.n_ref: must be positive"),
+        ({"synth": {"preset": "default", "n_ref": 0}}, "synth.n_ref: must be positive"),
+    ],
+)
+def test_fom_sweep_rejects_non_positive_medium_index(tmp_path, capsys, block, message):
+    # the medium index sets V_lambda_n3: 0 divided by zero, -2.4 gave a negative volume
+    rc, out = run_cli(tmp_path, "fom-sweep", {**SWEEP_CFG, **block})
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "ConfigError", "message": message, "exit_code": 2}
+    assert not (out / "fom_sweep.csv").exists()
+
+
 def test_bad_grid_payload_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.fgrd"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -261,7 +278,7 @@ def test_bad_grid_payload_is_io_error(tmp_path, capsys):
 
 
 def test_nonconverged_maps_to_exit_three(tmp_path, capsys, monkeypatch):
-    def boom(cfg, out, fmt, threads):
+    def boom(cfg, out, fmt):
         raise NonConvergedError("emission integral did not settle")
 
     monkeypatch.setitem(cli.COMMANDS, "fom-sweep", boom)

@@ -1,13 +1,18 @@
 """Unit-tagged JSON config parsing and validation."""
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqed_fom.config import parse_config
 from cqed_fom.errors import ConfigError
+from cqed_fom.fieldgrid import DEFAULT_SYNTH_SPEC
 from cqed_fom.units import ghz, mhz, nm
 
 
@@ -84,6 +89,12 @@ def test_sweep_accepts_normalized_volumes():
     assert cfg.sweep.volume_units == "lambda_n3"
 
 
+def test_sweep_accepts_a_single_normalized_volume():
+    cfg = parse_config('{"sweep": {"volume": {"value": 0.5, "unit": "lambda_n3"}}}')
+    np.testing.assert_array_equal(cfg.sweep.volumes, [0.5])
+    assert cfg.sweep.volume_units == "lambda_n3"
+
+
 def test_sweep_converts_absolute_volumes():
     cfg = parse_config('{"sweep": {"volume": {"values": [2.0], "unit": "nm3"}}}')
     assert cfg.sweep.volumes[0] == pytest.approx(2e-27, rel=1e-15, abs=0.0)
@@ -137,6 +148,16 @@ def test_synth_preset_with_override():
     assert cfg.synth.shape == (50, 25, 15)
     assert cfg.synth.sigma == pytest.approx(25e-9, abs=0.0)
     assert cfg.synth_output == "synth_mode.fgrd"
+
+
+def test_synth_preset_override_keeps_other_preset_fields():
+    cfg = parse_config(
+        '{"synth": {"preset": "default", "n_ref": 3.0, "beam_half_width": null,'
+        ' "wavelength": {"value": 0.9, "unit": "um"}}}'
+    )
+    assert cfg.synth == dataclasses.replace(
+        DEFAULT_SYNTH_SPEC, n_ref=3.0, beam_half_width=None, wavelength=0.9e-6
+    )
 
 
 def test_synth_without_preset_requires_geometry():
@@ -244,7 +265,10 @@ ERROR_TEXTS = [
         '{"sweep": {"g": {"value": 1, "values": [1], "unit": "GHz"}}}',
         "sweep.g: give either 'value' or 'values', not both",
     ),
-    ('{"sweep": {"g": {"values": [], "unit": "GHz"}}}', "sweep.g.values: expected a non-empty list"),
+    (
+        '{"sweep": {"g": {"values": [], "unit": "GHz"}}}',
+        "sweep.g.values: expected a non-empty list",
+    ),
     (
         '{"system": {"wavelength": {"value": 0, "unit": "nm"}}}',
         "system.wavelength: must be positive",
@@ -262,7 +286,15 @@ ERROR_TEXTS = [
         f'{{"dipole": {{{_MU}, "orientation": [1, "y", 0]}}}}',
         "dipole.orientation[1]: expected a number, got 'y'",
     ),
-    ('{"hilbert": {"n_max": 1.5}}', "hilbert: hilbert.n_max: expected an integer, got 1.5"),
+    (
+        f'{{"dipole": {{{_MU}, "orientation": {{"x": 1}}}}}}',
+        "dipole.orientation: expected 'aligned' or a list of three numbers, got {'x': 1}",
+    ),
+    (
+        f'{{"dipole": {{{_MU}, "orientation": "along-x"}}}}',
+        "dipole: unknown orientation 'along-x'",
+    ),
+    ('{"hilbert": {"n_max": 1.5}}', "hilbert.n_max: expected an integer, got 1.5"),
     ('{"hilbert": {"n_max": 0}}', "hilbert: n_max must be an integer >= 1, got 0"),
     ('{"spin": {}}', "spin: missing 'zeeman_split'"),
     (
@@ -286,20 +318,45 @@ ERROR_TEXTS = [
         "sweep.volume.unit: 'nm^3' is not a volume unit"
         " (known: m3, um3, nm3, lambda_n3), did you mean 'nm3'?",
     ),
+    # sweep.volume is an ordinary tagged quantity: its messages are the shared ones
     (
         '{"sweep": {"volume": {"values": [1]}}}',
-        "sweep.volume.unit: None is not a volume unit (known: m3, um3, nm3, lambda_n3)",
+        "sweep.volume: physical quantity needs an explicit 'unit' tag",
     ),
     (
         '{"sweep": {"volume": {"values": [], "unit": "nm3"}}}',
-        "sweep.volume: expected 'value' or a non-empty 'values' list",
+        "sweep.volume.values: expected a non-empty list",
+    ),
+    ('{"sweep": {"volume": {"unit": "nm3"}}}', "sweep.volume: missing 'value'"),
+    (
+        '{"sweep": {"volume": {"value": "x", "unit": "nm3"}}}',
+        "sweep.volume.value: expected a number, got 'x'",
+    ),
+    (
+        '{"sweep": {"volume": {"value": 1, "values": [2], "unit": "nm3"}}}',
+        "sweep.volume: give either 'value' or 'values', not both",
     ),
     ('{"grid": {}}', "grid: missing grid file 'path'"),
     ('{"grid": {"path": 5}}', "grid: missing grid file 'path'"),
     ('{"grid": {"path": "m.fgrd", "format": "vtk"}}', "grid.format: must be 'fgrd' or 'csv'"),
+    ('{"grid": {"path": "m.fgrd", "n_ref": 0}}', "grid.n_ref: must be positive"),
+    ('{"grid": {"path": "m.fgrd", "n_ref": -2.4}}', "grid.n_ref: must be positive"),
+    (
+        '{"grid": {"path": "m.fgrd", "wavelength": {"value": -737, "unit": "nm"}}}',
+        "grid.wavelength: must be positive",
+    ),
+    ('{"synth": {"preset": "default", "n_ref": 0}}', "synth.n_ref: must be positive"),
+    (
+        '{"synth": {"preset": "default", "wavelength": {"value": 0, "unit": "nm"}}}',
+        "synth.wavelength: must be positive",
+    ),
     (
         '{"synth": {"preset": "bowtie"}}',
         "synth.preset: unknown preset 'bowtie' (known: default, ultra-confined)",
+    ),
+    (
+        '{"synth": {"preset": []}}',
+        "synth.preset: unknown preset [] (known: default, ultra-confined)",
     ),
     (
         '{"synth": {"preset": "default", "size": {"values": [1, 2], "unit": "nm"}}}',
@@ -369,3 +426,55 @@ def test_readme_has_config_examples():
 @pytest.mark.parametrize("text", README_JSON)
 def test_readme_config_examples_parse(text):
     parse_config(text)
+
+
+# every key of every block, with a valid config to drop a wrong value into
+CONFIG_KEYS = {
+    "system": ["g", "kappa_wg", "kappa_sc", "gamma", "gamma_star", "delta_ca", "wavelength"],
+    "dipole": ["mu", "orientation", "overlap_xi"],
+    "hilbert": ["n_max"],
+    "spin": ["zeeman_split", "spin_down_offset", "drift", "drift_interpretation"],
+    "probe": ["start", "stop", "points"],
+    "contrast": ["start", "stop", "points", "probe_policy"],
+    "sweep": ["g", "volume"],
+    "grid": ["path", "format", "wavelength", "n_ref"],
+    "synth": [
+        "preset", "size", "shape", "period", "sigma", "bridge_half_width", "hole_half_length",
+        "beam_half_width", "beam_half_height", "eps_dielectric", "wavelength", "n_ref", "output",
+    ],
+    "implant": ["diameters", "center", "plane", "bins", "violin_diameter"],
+}
+_AXIS_CFG = {"start": {"value": 1, "unit": "GHz"}, "stop": {"value": 2, "unit": "GHz"}, "points": 3}
+VALID_BLOCKS = {
+    "system": {},
+    "dipole": {"mu": {"value": 2.31, "unit": "Debye"}},
+    "hilbert": {},
+    "spin": {"zeeman_split": {"value": 1, "unit": "GHz"}},
+    "probe": _AXIS_CFG,
+    "contrast": _AXIS_CFG,
+    "sweep": {},
+    "grid": {"path": "mode.fgrd"},
+    "synth": {"preset": "default"},
+    "implant": {"diameters": {"value": 0, "unit": "nm"}},
+}
+_UNITS = st.sampled_from(["GHz", "nm", "Debye", "nm3", "lambda_n3", "Ghz", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.fixed_dictionaries({"value": st.floats(-1e3, 1e3), "unit": _UNITS}),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    slot=st.sampled_from([(block, key) for block, keys in CONFIG_KEYS.items() for key in keys]),
+    value=JSON_VALUES,
+)
+def test_any_value_in_any_key_parses_or_raises_config_error(slot, value):
+    block, key = slot
+    text = json.dumps({block: {**VALID_BLOCKS[block], key: value}})
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        assert str(exc).startswith(block)

@@ -277,6 +277,20 @@ def test_sweep_by_volume_converts_through_dipole():
     assert results[0].g == pytest.approx(expected_g, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("medium_index", [0.0, -2.4])
+def test_sweep_over_g_rejects_non_positive_medium_index(medium_index):
+    base = SystemParams(g=ghz(1), **BASE_RATES)
+    with pytest.raises(ValueError, match="positive medium_index"):
+        fom_sweep(base, g_values=np.array([ghz(5)]), dipole=DIPOLE, medium_index=medium_index)
+
+
+def test_sweep_normalized_volume_matches_inverse_conversion():
+    base = SystemParams(g=ghz(1), **BASE_RATES)
+    (row,) = fom_sweep(base, g_values=np.array([ghz(5)]), dipole=DIPOLE, medium_index=2.4)
+    v_norm = mode_volume_from_coupling(ghz(5), DIPOLE, base.omega, "lambda_n3", 2.4)
+    assert row.v_norm == v_norm
+
+
 def test_sweep_row_without_decay_path_names_nonconverged_error():
     base = SystemParams(g=ghz(1), kappa_wg=ghz(10), gamma=0.0)
     (row,) = fom_sweep(base, g_values=np.array([0.0]))
