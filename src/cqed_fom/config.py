@@ -38,6 +38,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .errors import ConfigError
 from .fieldgrid import DEFAULT_SYNTH_SPEC, ULTRA_CONFINED_SYNTH_SPEC, SynthModeSpec
+from .implant import PLANE_POLICIES
 from .params import DEFAULT_WAVELENGTH, DipoleSpec, HilbertSpec, SystemParams
 from .reflection import SpinConfig
 from .units import DIPOLE_UNITS, FREQUENCY_UNITS, LENGTH_UNITS, TWO_PI, VOLUME_UNITS
@@ -239,7 +240,21 @@ def _probe_policy(node, path: str):
 def _volumes(node, path: str) -> tuple[np.ndarray, str]:
     """Volumes in m^3, or as given in units of (lambda/n)^3."""
     volumes = np.atleast_1d(quantity(node, path, "volume", allow_list=True))
+    if not np.all(volumes > 0.0):
+        raise ConfigError(f"{path}: must be positive")
     return volumes, "lambda_n3" if node["unit"] == "lambda_n3" else "m3"
+
+
+def _plane(node, path: str) -> int | str:
+    if isinstance(node, str):
+        if node not in PLANE_POLICIES:
+            raise ConfigError(
+                f"{path}: unknown plane policy {node!r}"
+                f" (known: {', '.join(PLANE_POLICIES)}){_suggest(node, PLANE_POLICIES)}"
+            )
+    elif isinstance(node, bool) or not isinstance(node, int):
+        raise ConfigError(f"{path}: expected an index or plane policy string")
+    return node
 
 
 def _preset(node, path: str) -> SynthModeSpec:
@@ -258,10 +273,6 @@ _POSITIVE = (lambda v: np.all(v > 0.0), "must be positive")
 _NON_NEGATIVE = (lambda v: np.all(v >= 0.0), "must be >= 0")
 _FORMAT = (lambda v: v in ("fgrd", "csv"), "must be 'fgrd' or 'csv'")
 _FILE_NAME = (lambda v: isinstance(v, str) and v != "", "expected a file name")
-_PLANE = (
-    lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
-    "expected an index or plane policy string",
-)
 
 _SYSTEM = {
     **dict.fromkeys(
@@ -314,7 +325,7 @@ _IMPLANT = {
     "center": _Key(
         "length", (lambda v: v.size == 2, "need exactly (x, y)"), nullable=True, many=True
     ),
-    "plane": _Key(_as_given, _PLANE),
+    "plane": _Key(_plane),
     "bins": _Key(_integer, (lambda n: n >= 2, "must be >= 2")),
     "violin_diameter": _Key("length", _NON_NEGATIVE),
 }

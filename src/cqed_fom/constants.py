@@ -1,8 +1,12 @@
-"""Physical constants used across the package (SI units)."""
+"""Physical constants used across the package (SI units).
 
-from scipy.constants import c as SPEED_OF_LIGHT  # m/s
-from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY  # F/m
-from scipy.constants import hbar as HBAR  # J*s
+CODATA 2022 values, written out so that importing the package needs no
+scipy; they equal ``scipy.constants`` (scipy >= 1.15) bit for bit.
+"""
+
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact
+VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m
+HBAR = 1.0545718176461565e-34  # J*s, h / (2 pi) with h exact
 
 # Dipole-moment ingestion constant, C*m per Debye.
 DEBYE = 3.33564e-30

@@ -16,6 +16,12 @@ Basis ordering is fixed package-wide: ``|s, n>`` at flat index
 Superoperators act on column-stacked density matrices,
 ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``; ``vec`` is
 ``X.reshape(-1, order="F")``.
+
+Propagation (``evolve``, ``two_time_correlation``, ``propagate_integrals``)
+steps with exact matrix exponentials; it is the reference dynamics that
+the closed forms of ``fom`` are tested against, and the only part of
+this module that needs scipy (``scipy.linalg.expm``, imported on first
+use).
 """
 
 from __future__ import annotations
@@ -24,15 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import NonConvergedError
 from .params import HilbertSpec, SystemParams
-
-# Exact exponential stepping is the default up to this Hilbert dimension;
-# the Liouvillian is then at most (2*64)^2 = 16384 entries per row block.
-EXPM_DIM_LIMIT = 100
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +230,8 @@ def _step_propagators(liouvillian: np.ndarray, dts: np.ndarray) -> list[np.ndarr
     Grids are piecewise uniform in this package, so the cache typically
     holds a handful of entries.
     """
+    from scipy.linalg import expm
+
     cache: dict[float, np.ndarray] = {}
     out = []
     for dt in dts:
@@ -240,42 +242,8 @@ def _step_propagators(liouvillian: np.ndarray, dts: np.ndarray) -> list[np.ndarr
     return out
 
 
-def _evolve_expm(liouvillian: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    vecs = np.empty((times.size, v0.size), dtype=complex)
-    vecs[0] = v0
-    props = _step_propagators(liouvillian, np.diff(times))
-    v = v0
-    for k, p in enumerate(props):
-        v = p @ v
-        vecs[k + 1] = v
-    return vecs
-
-
-def _evolve_adaptive(
-    liouvillian: np.ndarray, v0: np.ndarray, times: np.ndarray, tol: float
-) -> np.ndarray:
-    sol = solve_ivp(
-        lambda _t, y: liouvillian @ y,
-        (times[0], times[-1]),
-        v0,
-        t_eval=times,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise NonConvergedError(f"adaptive integration failed: {sol.message}")
-    return sol.y.T.copy()
-
-
-def evolve(
-    liouvillian: np.ndarray,
-    rho0: np.ndarray,
-    times: np.ndarray,
-    tol: float = 1e-9,
-    backend: str = "auto",
-) -> Trajectory:
-    """Propagate rho0 along ``times`` under the given Liouvillian.
+def evolve(liouvillian: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> Trajectory:
+    """Propagate rho0 along ``times`` with cached exact step exponentials.
 
     Parameters
     ----------
@@ -285,25 +253,14 @@ def evolve(
         Initial density matrix at ``times[0]``; validated on entry.
     times : array
         Strictly increasing, non-negative output grid.
-    tol : float
-        Local error tolerance in (0, 1e-3]. The exponential backend is
-        exact to machine precision and only uses ``tol`` for the
-        physicality checks below.
-    backend : {"auto", "expm", "adaptive"}
-        "expm" steps with cached matrix exponentials (Hilbert dimension
-        up to 100), "adaptive" uses an adaptive explicit Runge-Kutta
-        scheme with dense output. "auto" picks "expm" when the dimension
-        allows it.
 
     Raises
     ------
     NonConvergedError
-        If the adaptive solver fails, or a propagated state violates the
-        trace/Hermiticity/positivity invariants by more than 10x their
-        tolerance (1e-9, 1e-10 and 1e-8 respectively).
+        If a propagated state violates the trace/Hermiticity/positivity
+        invariants by more than 10x their tolerance (1e-9, 1e-10 and 1e-8
+        respectively).
     """
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError(f"tol must be in (0, 1e-3], got {tol!r}")
     times = _validate_grid(times, "times")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0, context="rho0")
@@ -313,17 +270,10 @@ def evolve(
             f"liouvillian shape {liouvillian.shape} does not match state dimension {d}"
         )
 
-    if backend == "auto":
-        backend = "expm" if d <= EXPM_DIM_LIMIT else "adaptive"
-    if backend == "expm":
-        if d > EXPM_DIM_LIMIT:
-            raise ValueError(f"expm backend limited to dimension <= {EXPM_DIM_LIMIT}")
-        vecs = _evolve_expm(liouvillian, vec(rho0), times)
-    elif backend == "adaptive":
-        vecs = _evolve_adaptive(liouvillian, vec(rho0), times, tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
+    vecs = np.empty((times.size, d * d), dtype=complex)
+    vecs[0] = v = vec(rho0)
+    for k, p in enumerate(_step_propagators(liouvillian, np.diff(times))):
+        vecs[k + 1] = v = p @ v
     states = vecs.reshape(times.size, d, d).transpose(0, 2, 1)  # undo column stacking
     _check_trajectory_invariants(states)
     return Trajectory(times=times, states=states)
@@ -358,7 +308,6 @@ def two_time_correlation(
     right: np.ndarray,
     t_grid: np.ndarray,
     tau_grid: np.ndarray,
-    backend: str = "expm",
 ) -> CorrGrid:
     """Quantum-regression correlator G(t, tau) = tr[left e^{L tau}(right rho(t))].
 
@@ -377,7 +326,7 @@ def two_time_correlation(
     if left.shape != (d, d) or right.shape != (d, d):
         raise ValueError("left/right operator shapes must match the state dimension")
 
-    traj = evolve(liouvillian, rho0, t_grid, backend=backend)
+    traj = evolve(liouvillian, rho0, t_grid)
     # seed X(t, 0) = right @ rho(t), one column-stacked column per t
     seeds = np.einsum("ij,tjk->tik", right, traj.states)
     cols = np.ascontiguousarray(seeds.transpose(0, 2, 1).reshape(t_grid.size, d * d)).T
@@ -415,6 +364,8 @@ def propagate_integrals(
 
     so the result carries no quadrature error, only expm round-off.
     """
+    from scipy.linalg import expm
+
     if t_final <= 0.0:
         return np.zeros(len(observable_vecs), dtype=complex), rho0_vec.copy()
     n = rho0_vec.size
@@ -456,5 +407,4 @@ __all__ = [
     "expectation",
     "two_time_correlation",
     "propagate_integrals",
-    "EXPM_DIM_LIMIT",
 ]

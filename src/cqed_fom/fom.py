@@ -14,17 +14,23 @@ excitation is gone. From that flow we compute
 
 The undriven flow never leaves the one-excitation manifold {|e,0>,
 |g,1>}: H conserves the excitation number, ``a`` and ``sigma_-`` lower
-it and dephasing keeps it. Both figures are therefore exact linear
-algebra on two blocks of ``core.build_liouvillian`` at n_max = 1, and
-hold for every n_max >= 1. With A the block of rho on that manifold and
-B the block of the coherences |g,0><j| that ``a`` maps it to, the time
-integrals are one linear solve and two Lyapunov solves (Bartels-Stewart):
+it and dephasing keeps it. Both figures are therefore exact and hold for
+every n_max >= 1. With Gamma = kappa + gamma + gamma_star and Delta =
+``delta_ca``, the photon-number integral has the closed form
 
-    int x dt      = (-A)^{-1} x0,
-    int x x^H dt  = Z,  A Z + Z A^H = -x0 x0^H,
+    int n dt = 4 g^2 Gamma / (4 g^2 (kappa + gamma) Gamma
+                              + kappa gamma (Gamma^2 + 4 Delta^2)),
+
+so beta = kappa int n dt, and the denominator of I is (int n dt)^2 / 2.
+The numerator of I comes from two blocks of ``core.build_liouvillian``
+at n_max = 1: A, the block of rho on that manifold, and B, the block of
+the coherences |g,0><j| that ``a`` maps it to. With x0 = vec |e,0><e,0|,
+
+    int x x^H dt   = Z,  A Z + Z A^H = -x0 x0^H,
     numerator of I = w^T Y w*,  B Y + Y B^H = -S Z S^H,
 
-and the denominator of I is (int n dt)^2 / 2. No time grid is involved.
+each Lyapunov equation solved as the Kronecker system
+(1 (x) A + conj(A) (x) 1) vec X = vec Q. No time grid is involved.
 """
 
 from __future__ import annotations
@@ -33,28 +39,41 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .constants import HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .core import annihilation, build_liouvillian, excited_emitter_state, number_operator, vec
+from .core import annihilation, build_liouvillian, excited_emitter_state, vec
 from .errors import NonConvergedError
 from .params import DEFAULT_OMEGA, DipoleSpec, HilbertSpec, SystemParams
 
 
-def _emission_integrals(params: SystemParams) -> tuple[float, float]:
-    """(int <n> dt, int int |<a^dag(t+tau) a(t)>|^2 dt dtau) of the emission problem.
+def _photon_number_integral(params: SystemParams) -> float:
+    """int_0^inf <a^dag a> dt of the emission problem (closed form, module docstring).
 
     Raises NonConvergedError("non-converged integral...") when part of the
-    excitation never decays, or when the slowest decay is below double
-    precision relative to the fastest rate.
+    excitation never decays (kappa = gamma = 0, or g = gamma = 0).
     """
-    if params.kappa == 0.0 and params.gamma == 0.0:
+    g2, kappa, gamma = params.g**2, params.kappa, params.gamma
+    if kappa == 0.0 and gamma == 0.0:
         raise NonConvergedError(
             "non-converged integral: no energy decay channel (kappa and gamma both zero)"
         )
-    if params.g == 0.0 and params.gamma > 0.0:
-        # |g,1> is never reached, so no photon; |e,0> decays through gamma alone
-        return 0.0, 0.0
+    total = kappa + gamma + params.gamma_star
+    denominator = 4.0 * g2 * (kappa + gamma) * total + kappa * gamma * (
+        total**2 + 4.0 * params.delta_ca**2
+    )
+    if denominator == 0.0:
+        raise NonConvergedError(
+            "non-converged integral: the excitation never leaves |e,0> (g and gamma both zero)"
+        )
+    return 4.0 * g2 * total / denominator
+
+
+def _photon_overlap(params: SystemParams) -> float:
+    """int int |<a^dag(t+tau) a(t)>|^2 dt dtau of the emission problem.
+
+    Raises NonConvergedError("non-converged integral...") when the slowest
+    decay is below double precision relative to the fastest rate.
+    """
     spec = HilbertSpec(1)
     d = spec.dimension
     liou = build_liouvillian(params, spec)
@@ -66,7 +85,6 @@ def _emission_integrals(params: SystemParams) -> tuple[float, float]:
     a = annihilation(spec)
     s_map = np.kron(np.eye(d), a)[np.ix_(coh_idx, rho_idx)]  # rho -> a rho
     x0 = vec(excited_emitter_state(spec))[rho_idx]
-    n_row = vec(number_operator(spec).T)[rho_idx]  # tr(n rho)
     w = vec(a.conj())[coh_idx]  # tr(a^dag X)
 
     cond = np.linalg.cond(a_blk)
@@ -75,25 +93,27 @@ def _emission_integrals(params: SystemParams) -> tuple[float, float]:
             f"non-converged integral: one-excitation block singular to working precision"
             f" (condition number {cond:.1e})"
         )
-    n_int = (n_row @ np.linalg.solve(-a_blk, x0)).real
     z = _lyapunov(a_blk, -np.outer(x0, x0.conj()))
     y = _lyapunov(b_blk, -s_map @ z @ s_map.conj().T)
-    return float(n_int), float((w @ y @ w.conj()).real)
+    return float((w @ y @ w.conj()).real)
 
 
 def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """X with a X + X a^H = q, refined twice against its own residual.
 
-    The photon entries of the emission Gramians can sit many orders below
-    the largest entry (weak coupling, far detuning), where one
-    Bartels-Stewart solve leaves them with relative errors up to ~1e-6 or
-    worse. Each refinement step solves for the correction from the
-    residual; two steps bring I back to ~1e-13 or better, except for
-    g below ~1e-6 kappa with kappa = gamma, where about 1e-8 remains.
+    Solves the Kronecker form (1 (x) a + conj(a) (x) 1) vec X = vec q,
+    which is at most 16 x 16 here. The photon entries of the emission
+    Gramians can sit many orders below the largest entry (weak coupling,
+    far detuning); each refinement step solves for the correction from
+    the residual, which brings those entries to round-off.
     """
-    x = solve_continuous_lyapunov(a, q)
+    n = a.shape[0]
+    eye = np.eye(n)
+    kron = np.kron(eye, a) + np.kron(a.conj(), eye)
+    x = np.linalg.solve(kron, vec(q)).reshape((n, n), order="F")
     for _ in range(2):
-        x = x + solve_continuous_lyapunov(a, q - a @ x - x @ a.conj().T)
+        residual = q - a @ x - x @ a.conj().T
+        x = x + np.linalg.solve(kron, vec(residual)).reshape((n, n), order="F")
     return x
 
 
@@ -115,13 +135,13 @@ def cavity_efficiency(params: SystemParams, channel: str = "total") -> float:
     ``channel="waveguide"`` only the waveguide share kappa_wg enters, i.e.
     beta_wg = (kappa_wg / kappa) * beta.
 
-    Raises NonConvergedError("non-converged integral...") if part of the
-    excitation never decays (kappa = gamma = 0, or g = gamma = 0) or
-    decays too slowly to resolve in double precision.
+    Closed form (module docstring), no solve. Raises
+    NonConvergedError("non-converged integral...") if part of the
+    excitation never decays (kappa = gamma = 0, or g = gamma = 0).
     """
     if channel not in ("total", "waveguide"):
         raise ValueError(f"unknown channel {channel!r}")
-    integral_n, _ = _emission_integrals(params)
+    integral_n = _photon_number_integral(params)
     scale = params.kappa if channel == "total" else params.kappa_wg
     return _clamp_unit(scale * integral_n, "beta")
 
@@ -135,16 +155,17 @@ def indistinguishability(params: SystemParams) -> float:
             -----------------------------------------
             int dt int dtau <n(t+tau)> <n(t)>
 
-    from the one-excitation block solve (module docstring); the
-    dephasing-free limit is 1 to round-off. Without coupling there is no
-    cavity photon and the ratio is undefined: g == 0 raises ValueError.
+    from the closed-form int n dt and two Lyapunov solves on the
+    one-excitation blocks (module docstring); the dephasing-free limit is
+    1 to round-off. Without coupling there is no cavity photon and the
+    ratio is undefined: g == 0 raises ValueError.
     """
     if params.g <= 0.0:
         raise ValueError("indistinguishability undefined for g == 0 (no cavity emission)")
-    integral_n, overlap = _emission_integrals(params)
+    integral_n = _photon_number_integral(params)
     if not integral_n > 0.0:
         raise ValueError("indistinguishability undefined: no cavity emission recorded")
-    return _clamp_unit(overlap / (0.5 * integral_n**2), "indistinguishability")
+    return _clamp_unit(_photon_overlap(params) / (0.5 * integral_n**2), "indistinguishability")
 
 
 # ---------------------------------------------------------------------------

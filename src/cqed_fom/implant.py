@@ -24,6 +24,8 @@ import numpy as np
 
 from .fieldgrid import ScalarField
 
+PLANE_POLICIES = ("gmax-depth", "max-projection")
+
 
 @dataclass(frozen=True)
 class ImplantRegion:
@@ -49,7 +51,7 @@ class ImplantRegion:
                 raise ValueError("center must be a finite (x, y) pair in metres")
             object.__setattr__(self, "center", c)
         if isinstance(self.plane, str):
-            if self.plane not in ("gmax-depth", "max-projection"):
+            if self.plane not in PLANE_POLICIES:
                 raise ValueError(
                     f"plane must be an index, 'gmax-depth' or 'max-projection', got {self.plane!r}"
                 )

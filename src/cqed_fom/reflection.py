@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .params import SystemParams
 
@@ -138,8 +137,11 @@ def apply_drift(spectrum: Spectrum, drift_sigma: float) -> Spectrum:
     +-6 sigma and renormalized on the discrete grid, so a constant
     spectrum passes through unchanged. Edge handling extends the boundary
     values, which is exact when the grid spans at least ~8 sigma beyond
-    the last spectral feature. drift_sigma = 0 returns a copy.
+    the last spectral feature. drift_sigma = 0 returns a copy. scipy is
+    imported on the first call.
     """
+    from scipy.ndimage import convolve1d
+
     if drift_sigma < 0.0 or not np.isfinite(drift_sigma):
         raise ValueError("drift_sigma must be finite and >= 0")
     if drift_sigma == 0.0:

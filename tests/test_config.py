@@ -336,6 +336,11 @@ ERROR_TEXTS = [
         '{"sweep": {"volume": {"value": 1, "values": [2], "unit": "nm3"}}}',
         "sweep.volume: give either 'value' or 'values', not both",
     ),
+    (
+        '{"sweep": {"volume": {"values": [0.5, -0.2], "unit": "lambda_n3"}}}',
+        "sweep.volume: must be positive",
+    ),
+    ('{"sweep": {"volume": {"value": 0, "unit": "nm3"}}}', "sweep.volume: must be positive"),
     ('{"grid": {}}', "grid: missing grid file 'path'"),
     ('{"grid": {"path": 5}}', "grid: missing grid file 'path'"),
     ('{"grid": {"path": "m.fgrd", "format": "vtk"}}', "grid.format: must be 'fgrd' or 'csv'"),
@@ -388,6 +393,11 @@ ERROR_TEXTS = [
     (
         '{"implant": {"diameters": {"value": 0, "unit": "nm"}, "plane": true}}',
         "implant.plane: expected an index or plane policy string",
+    ),
+    (
+        '{"implant": {"diameters": {"value": 0, "unit": "nm"}, "plane": "gmax-dept"}}',
+        "implant.plane: unknown plane policy 'gmax-dept'"
+        " (known: gmax-depth, max-projection), did you mean 'gmax-depth'?",
     ),
     (
         '{"implant": {"diameters": {"value": 0, "unit": "nm"}, "bins": 1}}',
