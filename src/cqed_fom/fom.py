@@ -14,111 +14,128 @@ excitation is gone. From that flow we compute
 
 The undriven flow never leaves the one-excitation manifold {|e,0>,
 |g,1>}: H conserves the excitation number, ``a`` and ``sigma_-`` lower
-it and dephasing keeps it. Both figures are therefore exact and hold for
-every n_max >= 1. With Gamma = kappa + gamma + gamma_star and Delta =
-``delta_ca``, the photon-number integral has the closed form
+it and dephasing keeps it. Both figures are therefore exact closed forms
+for every n_max >= 1, with no time grid and no linear solve. With
+Gamma = kappa + gamma + gamma_star and Delta = ``delta_ca``,
 
-    int n dt = 4 g^2 Gamma / (4 g^2 (kappa + gamma) Gamma
-                              + kappa gamma (Gamma^2 + 4 Delta^2)),
+    int n dt = 4 g^2 Gamma / N1,  N1 = 4 g^2 (kappa + gamma) Gamma
+                                       + kappa gamma (Gamma^2 + 4 Delta^2),
 
-so beta = kappa int n dt, and the denominator of I is (int n dt)^2 / 2.
-The numerator of I comes from two blocks of ``core.build_liouvillian``
-at n_max = 1: A, the block of rho on that manifold, and B, the block of
-the coherences |g,0><j| that ``a`` maps it to. With x0 = vec |e,0><e,0|,
+beta = kappa int n dt, and I = N1 N2 / (Gamma D2 D3), where N2, D2 and D3
+(``_overlap_ratio``) are polynomials in the rates with positive
+coefficients. They come from the two Lyapunov equations of the
+one-excitation blocks (the Gramian of rho on {|e,0>, |g,1>}, and that of
+the coherences |g,0><j| that ``a`` maps it to) solved symbolically, with
+the denominator (int n dt)^2 / 2 of I folded in. As every rate is >= 0,
+no sum cancels and both figures hold to a few ulp; at gamma_star = 0,
+I = 1 to round-off.
 
-    int x x^H dt   = Z,  A Z + Z A^H = -x0 x0^H,
-    numerator of I = w^T Y w*,  B Y + Y B^H = -S Z S^H,
-
-each Lyapunov equation solved as the Kronecker system
-(1 (x) A + conj(A) (x) 1) vec X = vec Q. No time grid is involved.
+Both figures are homogeneous of degree 0 in the rates. Before any
+product the rates are divided by 2^e, the power of two at or above the
+largest of them (``math.frexp``). That division is exact, so 2^k-scaled
+rates give bit-identical figures, and the degree-11 terms stay in float
+range at any rate scale. Only rates that span some hundred decades can
+still underflow a denominator below the normal float range, which raises
+NonConvergedError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .constants import HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from .core import annihilation, build_liouvillian, excited_emitter_state, vec
 from .errors import NonConvergedError
-from .params import DEFAULT_OMEGA, DipoleSpec, HilbertSpec, SystemParams
+from .params import DEFAULT_OMEGA, DipoleSpec, SystemParams
 
 
-def _photon_number_integral(params: SystemParams) -> float:
-    """int_0^inf <a^dag a> dt of the emission problem (closed form, module docstring).
+def _scaled_rates(params: SystemParams) -> tuple[float, ...]:
+    """(g, kappa, kappa_wg, gamma, gamma_star, delta_ca) over 2^e (module docstring)."""
+    rates = (params.g, params.kappa, params.kappa_wg, params.gamma, params.gamma_star,
+             params.delta_ca)
+    _, exponent = math.frexp(max(abs(r) for r in rates))
+    return tuple(math.ldexp(float(r), -exponent) for r in rates)
 
-    Raises NonConvergedError("non-converged integral...") when part of the
-    excitation never decays (kappa = gamma = 0, or g = gamma = 0).
-    """
-    g2, kappa, gamma = params.g**2, params.kappa, params.gamma
+
+def _normal(denominator: float) -> float:
+    # below the normal range a denominator has lost bits, or is 0
+    if denominator < sys.float_info.min:
+        raise NonConvergedError(
+            "non-converged integral: the rates span too many decades for double precision"
+            " (a denominator underflows)"
+        )
+    return denominator
+
+
+def _photon_number_denominator(rates: tuple[float, ...]) -> float:
+    """N1 of the module docstring from the scaled ``rates``; NonConvergedError when
+    part of the excitation never decays (kappa = gamma = 0, or g = gamma = 0) or N1 underflows."""
+    g, kappa, _, gamma, gamma_star, delta = rates
     if kappa == 0.0 and gamma == 0.0:
         raise NonConvergedError(
             "non-converged integral: no energy decay channel (kappa and gamma both zero)"
         )
-    total = kappa + gamma + params.gamma_star
-    denominator = 4.0 * g2 * (kappa + gamma) * total + kappa * gamma * (
-        total**2 + 4.0 * params.delta_ca**2
+    total = kappa + gamma + gamma_star
+    denominator = 4.0 * g**2 * (kappa + gamma) * total + kappa * gamma * (
+        total**2 + 4.0 * delta**2
     )
-    if denominator == 0.0:
+    if denominator == 0.0 and g == 0.0:
         raise NonConvergedError(
             "non-converged integral: the excitation never leaves |e,0> (g and gamma both zero)"
         )
-    return 4.0 * g2 * total / denominator
+    return _normal(denominator)
 
 
-def _photon_overlap(params: SystemParams) -> float:
-    """int int |<a^dag(t+tau) a(t)>|^2 dt dtau of the emission problem.
+def _form(degree: int, coefficients: tuple[int, ...], x: float, y: float, z: float) -> float:
+    """sum c x^i y^j z^k over i + j + k = n = ``degree``, the ``coefficients`` taken
+    by falling i, then falling j: x^n, x^(n-1) y, x^(n-1) z, x^(n-2) y^2, ..., z^n."""
+    exponents = [(i, j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+    return sum(
+        c * x**i * y**j * z ** (degree - i - j)
+        for c, (i, j) in zip(coefficients, exponents, strict=True)
+    )
 
-    Raises NonConvergedError("non-converged integral...") when the slowest
-    decay is below double precision relative to the fastest rate.
+
+def _overlap_ratio(rates: tuple[float, ...], n1: float) -> float:
+    """I = N1 N2 / (Gamma D2 D3) from the scaled ``rates`` (module docstring).
+
+    With h = g^2, d = Delta^2, u = Gamma + gamma + kappa, and p1..p6
+    homogeneous in (gamma, gamma_star, kappa).
     """
-    spec = HilbertSpec(1)
-    d = spec.dimension
-    liou = build_liouvillian(params, spec)
-    one = [spec.index(1, 0), spec.index(0, 1)]
-    rho_idx = [i + d * j for j in one for i in one]  # vec(rho) on {|e,0>, |g,1>}^2
-    coh_idx = [spec.index(0, 0) + d * j for j in one]  # vec of |g,0><j|
-    a_blk = liou[np.ix_(rho_idx, rho_idx)]
-    b_blk = liou[np.ix_(coh_idx, coh_idx)]
-    a = annihilation(spec)
-    s_map = np.kron(np.eye(d), a)[np.ix_(coh_idx, rho_idx)]  # rho -> a rho
-    x0 = vec(excited_emitter_state(spec))[rho_idx]
-    w = vec(a.conj())[coh_idx]  # tr(a^dag X)
-
-    cond = np.linalg.cond(a_blk)
-    if not cond * np.finfo(float).eps < 1.0:
-        raise NonConvergedError(
-            f"non-converged integral: one-excitation block singular to working precision"
-            f" (condition number {cond:.1e})"
+    g, kappa, _, gamma, gs, delta = rates
+    h, d = g * g, delta * delta
+    total = kappa + gamma + gs
+    u = total + gamma + kappa
+    ck, cg = total + 2.0 * kappa, total + 2.0 * gamma
+    p1, p2, p3, p4, p5, p6 = (
+        _form(n, c, gamma, gs, kappa)
+        for n, c in (
+            (2, (3, 4, 4, 1, 3, 1)),
+            (3, (24, 41, 56, 20, 64, 40, 3, 16, 23, 8)),
+            (5, (5, 19, 21, 28, 63, 38, 20, 69, 77, 38, 7, 33, 50, 35, 21, 1, 6, 11, 7, 6, 5)),
+            (3, (8, 17, 24, 12, 22, 24, 3, 6, 5, 8)),
+            (3, (1, 3, 3, 3, 1, 3, 1, 0, 0, 1)),
+            (2, (5, 4, 6, 1, 4, 5)),
         )
-    z = _lyapunov(a_blk, -np.outer(x0, x0.conj()))
-    y = _lyapunov(b_blk, -s_map @ z @ s_map.conj().T)
-    return float((w @ y @ w.conj()).real)
-
-
-def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """X with a X + X a^H = q, refined twice against its own residual.
-
-    Solves the Kronecker form (1 (x) a + conj(a) (x) 1) vec X = vec q,
-    which is at most 16 x 16 here. The photon entries of the emission
-    Gramians can sit many orders below the largest entry (weak coupling,
-    far detuning); each refinement step solves for the correction from
-    the residual, which brings those entries to round-off.
-    """
-    n = a.shape[0]
-    eye = np.eye(n)
-    kron = np.kron(eye, a) + np.kron(a.conj(), eye)
-    x = np.linalg.solve(kron, vec(q)).reshape((n, n), order="F")
-    for _ in range(2):
-        residual = q - a @ x - x @ a.conj().T
-        x = x + np.linalg.solve(kron, vec(residual)).reshape((n, n), order="F")
-    return x
+    )
+    d2 = 4 * h * total**2 + kappa * (gamma + gs) * (total**2 + 4 * d)
+    n2 = (
+        total**2 * ck**2 * cg * p1 + 4 * h * total * ck * p2
+        + 32 * h**2 * total * u * (4 * gamma + gs + 4 * kappa)
+        + 8 * d * p3 + 16 * d * h * p4 + 16 * d**2 * p5
+    )
+    d3 = (
+        (gamma + kappa) * total * ck**2 * cg**2 + 8 * h * ck * u**2 * cg + 64 * h**2 * u**2
+        + 8 * d * (gamma + kappa) * total * p6 + 32 * d * h * u**2
+        + 16 * d**2 * (gamma + kappa) * total
+    )
+    # a product of two ratios, so no product of small terms underflows; d2 >= n1 is normal
+    return (n1 / d2) * (n2 / _normal(total * d3))
 
 
 def _clamp_unit(value: float, name: str) -> float:
-    if not np.isfinite(value) or value < -1e-6 or value > 1.0 + 1e-6:
+    if not math.isfinite(value) or value < -1e-6 or value > 1.0 + 1e-6:
         raise NonConvergedError(f"{name} = {value!r} outside [0, 1] beyond numerical slack")
     return min(max(value, 0.0), 1.0)
 
@@ -137,13 +154,16 @@ def cavity_efficiency(params: SystemParams, channel: str = "total") -> float:
 
     Closed form (module docstring), no solve. Raises
     NonConvergedError("non-converged integral...") if part of the
-    excitation never decays (kappa = gamma = 0, or g = gamma = 0).
+    excitation never decays (kappa = gamma = 0, or g = gamma = 0), or if
+    the rates span too many decades for double precision.
     """
     if channel not in ("total", "waveguide"):
         raise ValueError(f"unknown channel {channel!r}")
-    integral_n = _photon_number_integral(params)
-    scale = params.kappa if channel == "total" else params.kappa_wg
-    return _clamp_unit(scale * integral_n, "beta")
+    rates = _scaled_rates(params)
+    g, kappa, kappa_wg, gamma, gamma_star, _ = rates
+    n1 = _photon_number_denominator(rates)
+    integral_n = 4.0 * g**2 * (kappa + gamma + gamma_star) / n1
+    return _clamp_unit((kappa if channel == "total" else kappa_wg) * integral_n, "beta")
 
 
 def indistinguishability(params: SystemParams) -> float:
@@ -155,17 +175,18 @@ def indistinguishability(params: SystemParams) -> float:
             -----------------------------------------
             int dt int dtau <n(t+tau)> <n(t)>
 
-    from the closed-form int n dt and two Lyapunov solves on the
-    one-excitation blocks (module docstring); the dephasing-free limit is
-    1 to round-off. Without coupling there is no cavity photon and the
-    ratio is undefined: g == 0 raises ValueError.
+    as the closed-form ratio of positive polynomials of the module
+    docstring; the dephasing-free limit is 1 to round-off. Without
+    coupling there is no cavity photon and the ratio is undefined:
+    g == 0 raises ValueError. Raises NonConvergedError as
+    ``cavity_efficiency`` does.
     """
     if params.g <= 0.0:
         raise ValueError("indistinguishability undefined for g == 0 (no cavity emission)")
-    integral_n = _photon_number_integral(params)
-    if not integral_n > 0.0:
-        raise ValueError("indistinguishability undefined: no cavity emission recorded")
-    return _clamp_unit(_photon_overlap(params) / (0.5 * integral_n**2), "indistinguishability")
+    rates = _scaled_rates(params)
+    return _clamp_unit(
+        _overlap_ratio(rates, _photon_number_denominator(rates)), "indistinguishability"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +225,14 @@ def g_from_mode_volume(
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    v_m3 = _volume_to_m3(volume, omega, units, medium_index)
-    if v_m3 <= 0.0 or not np.isfinite(v_m3):
+    v_m3 = float(_volume_to_m3(volume, omega, units, medium_index))
+    if not 0.0 < v_m3 < math.inf:
         raise ValueError(f"mode volume must be finite and positive, got {v_m3!r} m^3")
-    return (
-        dipole.overlap_xi
-        * dipole.mu
-        * math.sqrt(omega / (2.0 * VACUUM_PERMITTIVITY * HBAR * v_m3))
-    )
+    denominator = 2.0 * VACUUM_PERMITTIVITY * HBAR * v_m3
+    g = dipole.overlap_xi * dipole.mu * math.sqrt(omega / denominator) if denominator else math.inf
+    if g == math.inf:
+        raise ValueError(f"mode volume {v_m3!r} m^3 too small: g overflows")
+    return g
 
 
 def mode_volume_from_coupling(
@@ -226,9 +247,11 @@ def mode_volume_from_coupling(
         raise ValueError("g must be positive")
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    v_m3 = omega * (dipole.overlap_xi * dipole.mu) ** 2 / (
-        2.0 * VACUUM_PERMITTIVITY * HBAR * g**2
-    )
+    # g**2 raises OverflowError from 2^512 up
+    denominator = 2.0 * VACUUM_PERMITTIVITY * HBAR * g**2 if g < 2.0**512 else math.inf
+    if not 0.0 < denominator < math.inf:
+        raise ValueError(f"no finite mode volume for g = {g!r} rad/s: g^2 leaves the float range")
+    v_m3 = omega * (dipole.overlap_xi * dipole.mu) ** 2 / denominator
     if units == "m3":
         return v_m3
     if units == "lambda_n3":
@@ -252,33 +275,36 @@ class FomResult:
     v_m3: float | None
     v_norm: float | None
     status: str
-    params: SystemParams
 
 
 def _sweep_point(
     base: SystemParams,
-    g: float,
+    g: float | None,
+    volume_m3: float | None,
     dipole: DipoleSpec | None,
-    medium_index: float | None,
+    lambda_n3: float | None,
 ) -> FomResult:
-    params = replace(base, g=g)
+    """One sweep row, from g or (g is None) from ``volume_m3`` through ``dipole``."""
     v_m3 = v_norm = None
-    # g = 0 maps to infinite volume; leave both fields unset for that row.
-    if dipole is not None and g > 0.0:
-        v_m3 = mode_volume_from_coupling(g, dipole, params.omega)
-        if medium_index is not None:
-            v_norm = v_m3 / _lambda_n3(params.omega, medium_index)
     try:
+        if g is None:
+            g = g_from_mode_volume(volume_m3, dipole, base.omega)
+        params = replace(base, g=g)
+        # g = 0 maps to infinite volume; leave both fields unset for that row.
+        if dipole is not None and g > 0.0:
+            v_m3 = mode_volume_from_coupling(g, dipole, params.omega)
+            if lambda_n3 is not None:
+                v_norm = v_m3 / lambda_n3
         beta = cavity_efficiency(params, channel="total")
         beta_wg = beta * (params.kappa_wg / params.kappa) if params.kappa > 0.0 else 0.0
         indist = indistinguishability(params)
         coop = cooperativity(params)
         status = "ok"
     except (NonConvergedError, ValueError) as exc:
-        beta = beta_wg = indist = coop = float("nan")
+        beta = beta_wg = indist = coop = math.nan
         status = f"{type(exc).__name__}: {exc}"
     return FomResult(
-        g=g,
+        g=math.nan if g is None else g,
         beta=beta,
         beta_wg=beta_wg,
         indist=indist,
@@ -286,7 +312,6 @@ def _sweep_point(
         v_m3=v_m3,
         v_norm=v_norm,
         status=status,
-        params=params,
     )
 
 
@@ -303,19 +328,19 @@ def fom_sweep(
 
     Exactly one of ``g_values`` (rad/s) and ``volumes`` must be given;
     volumes are converted through the dipole context first. Points are
-    independent: a failure is recorded in the row status instead of
-    aborting the sweep.
+    independent: a failure, the conversion of an out-of-range volume or
+    coupling included, is recorded in the row status instead of aborting
+    the sweep.
     """
     if (g_values is None) == (volumes is None):
         raise ValueError("provide exactly one of g_values or volumes")
-    if volumes is not None:
-        if dipole is None:
-            raise ValueError("a dipole context is required to sweep over volumes")
-        g_values = [
-            g_from_mode_volume(v, dipole, base.omega, volume_units, medium_index)
-            for v in volumes
-        ]
-    return [_sweep_point(base, float(g), dipole, medium_index) for g in g_values]
+    if volumes is not None and dipole is None:
+        raise ValueError("a dipole context is required to sweep over volumes")
+    lambda_n3 = None if medium_index is None else _lambda_n3(base.omega, medium_index)
+    if volumes is None:
+        return [_sweep_point(base, float(g), None, dipole, lambda_n3) for g in g_values]
+    volumes_m3 = [_volume_to_m3(float(v), base.omega, volume_units, medium_index) for v in volumes]
+    return [_sweep_point(base, None, v, dipole, lambda_n3) for v in volumes_m3]
 
 
 __all__ = [

@@ -127,6 +127,61 @@ def test_fom_sweep_row_failure_marks_status_and_null(tmp_path):
     assert first[4] is None
 
 
+@pytest.mark.parametrize(
+    "system,values,cause",
+    [
+        # g^2 underflows, and so does the volume's denominator
+        ({}, {"g": {"values": [1e-170, 5], "unit": "GHz"}}, "ValueError: no finite mode volume"),
+        # g**2 overflows
+        (
+            {"kappa_wg": {"value": 1e150, "unit": "GHz"}},
+            {"g": {"values": [1e150, 1e130], "unit": "GHz"}},
+            "ValueError: no finite mode volume",
+        ),
+        # the coupling of this volume overflows
+        ({}, {"volume": {"values": [1e-300, 1e-21], "unit": "m3"}}, "ValueError: mode volume"),
+    ],
+    ids=["g-underflow", "g-overflow", "volume-underflow"],
+)
+def test_fom_sweep_extreme_value_fails_only_its_row(tmp_path, system, values, cause):
+    cfg = {"system": {**SWEEP_CFG["system"], **system}, "sweep": values}
+    rc, out = run_cli(tmp_path, "fom-sweep", cfg)
+    assert rc == 0
+    bad, good = read_rows(out / "fom_sweep.csv")[1:]
+    assert bad[-1].startswith(cause)
+    (kind, axis), = values.items()
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    cfg["sweep"] = {kind: {**axis, "values": axis["values"][1:]}}
+    rc, out = run_cli(alone, "fom-sweep", cfg)
+    assert rc == 0
+    assert read_rows(out / "fom_sweep.csv")[1:] == [good]
+    assert good[-1] == "ok"
+
+
+def test_fom_sweep_at_rates_near_1e130_ghz_gives_numbers(tmp_path):
+    # SWEEP_CFG with every rate times 1e130: beta and I are scale free
+    huge = {
+        "system": {
+            key: {**node, "value": node["value"] * 1e130}
+            for key, node in SWEEP_CFG["system"].items()
+        },
+        "sweep": {"g": {"values": [2e130, 5e130, 1e131], "unit": "GHz"}},
+    }
+    rc, out = run_cli(tmp_path, "fom-sweep", SWEEP_CFG)
+    assert rc == 0
+    plain = read_rows(out / "fom_sweep.csv")[1:]
+    rc, out = run_cli(tmp_path, "fom-sweep", huge)
+    assert rc == 0
+    rows = read_rows(out / "fom_sweep.csv")[1:]
+    assert [r[-1] for r in rows] == ["ok"] * 3
+    for row, ref in zip(rows, plain):
+        # beta, beta_wg, indist, cooperativity
+        assert [float(c) for c in row[2:6]] == pytest.approx(
+            [float(c) for c in ref[2:6]], rel=1e-14, abs=0.0
+        )
+
+
 def test_spectrum_emits_two_spin_branches(tmp_path):
     rc, out = run_cli(tmp_path, "spectrum", SPECTRUM_CFG)
     assert rc == 0
