@@ -44,7 +44,7 @@ from .config import RunConfig, parse_config
 from .errors import ConfigError, GridFormatError, NonConvergedError
 from .fom import fom_sweep
 from .implant import ImplantRegion, implant_distribution, median_vs_D_curve, violin_export
-from .params import DipoleSpec
+from .params import DipoleSpec, SystemParams
 from .reflection import contrast_curve, reflectivity, spin_spectra
 from .units import debye, to_ghz
 
@@ -194,8 +194,15 @@ def cmd_fom_sweep(cfg: RunConfig, out: str, fmt: str) -> None:
     _write_table(os.path.join(out, _table_name("fom_sweep", fmt)), columns, fmt)
 
 
+def _reflection_system(cfg: RunConfig, command: str) -> SystemParams:
+    params = cfg.require("system", command)
+    if params.kappa_wg <= 0.0:
+        raise ConfigError("system.kappa_wg: must be > 0 for reflection (no waveguide port)")
+    return params
+
+
 def cmd_spectrum(cfg: RunConfig, out: str, fmt: str) -> None:
-    params = cfg.require("system", "spectrum")
+    params = _reflection_system(cfg, "spectrum")
     probe = cfg.require("probe", "spectrum")
     if cfg.spin is not None:
         down, up = spin_spectra(params, cfg.spin, probe)
@@ -207,7 +214,7 @@ def cmd_spectrum(cfg: RunConfig, out: str, fmt: str) -> None:
 
 
 def cmd_contrast(cfg: RunConfig, out: str, fmt: str) -> None:
-    params = cfg.require("system", "contrast")
+    params = _reflection_system(cfg, "contrast")
     spin = cfg.require("spin", "contrast")
     detunings = cfg.require("contrast_detunings", "contrast")
     curve = contrast_curve(params, spin, detunings, probe_policy=cfg.probe_policy)

@@ -152,15 +152,17 @@ def cavity_efficiency(params: SystemParams, channel: str = "total") -> float:
     ``channel="waveguide"`` only the waveguide share kappa_wg enters, i.e.
     beta_wg = (kappa_wg / kappa) * beta.
 
-    Closed form (module docstring), no solve. Raises
-    NonConvergedError("non-converged integral...") if part of the
-    excitation never decays (kappa = gamma = 0, or g = gamma = 0), or if
-    the rates span too many decades for double precision.
+    Closed form (module docstring), no solve; 0 for g = 0 and gamma > 0,
+    whatever kappa. Raises NonConvergedError("non-converged integral...")
+    if part of the excitation never decays (kappa = gamma = 0, or g =
+    gamma = 0), or if the rates span too many decades for double precision.
     """
     if channel not in ("total", "waveguide"):
         raise ValueError(f"unknown channel {channel!r}")
     rates = _scaled_rates(params)
     g, kappa, kappa_wg, gamma, gamma_star, _ = rates
+    if g == 0.0 and gamma > 0.0:
+        return 0.0  # no photon reaches the cavity
     n1 = _photon_number_denominator(rates)
     integral_n = 4.0 * g**2 * (kappa + gamma + gamma_star) / n1
     return _clamp_unit((kappa if channel == "total" else kappa_wg) * integral_n, "beta")

@@ -90,11 +90,18 @@ class SystemParams:
         return 2.0 * math.pi * SPEED_OF_LIGHT / self.omega
 
     def cooperativity(self) -> float:
-        """C = 4 g^2 / (kappa * gamma)."""
-        denom = self.kappa * self.gamma
-        if denom <= 0.0:
+        """C = 4 g^2 / (kappa * gamma).
+
+        The rates are first divided by the power of two at or above the
+        largest of them. That is exact, so C is unchanged in the normal float
+        range, and g^2 cannot overflow.
+        """
+        kappa, gamma = self.kappa, self.gamma
+        if kappa * gamma <= 0.0:
             raise ValueError("cooperativity undefined for kappa*gamma == 0")
-        return 4.0 * self.g**2 / denom
+        _, exponent = math.frexp(max(self.g, kappa, gamma))
+        g = math.ldexp(self.g, -exponent)
+        return 4.0 * g**2 / (math.ldexp(kappa, -exponent) * math.ldexp(gamma, -exponent))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,31 @@ and the transition detuning ``delta_a = omega_transition - omega_cavity``
     r(delta) = 1 - kappa_wg / [ i delta + kappa/2
                                 + g^2 / (i (delta - delta_a) + gamma_tot/2) ]
 
-with ``gamma_tot = gamma + 2 gamma_star``. Limits: |r| -> 1 far off
-resonance, r = 0 at critical coupling (kappa_wg = kappa/2, g = 0,
-delta = 0) and r = -1 for the overcoupled bare cavity (kappa_wg = kappa).
+with ``gamma_tot = gamma + 2 gamma_star``: reflection damps the dipole at
+(gamma + 2 gamma_star)/2, while beta and I in ``fom`` damp it at
+(gamma + gamma_star)/2 (the printed excited-state projector jump). Limits:
+|r| -> 1 far off resonance, r = 0 at critical coupling (kappa_wg =
+kappa/2, g = 0, delta = 0) and r = -1 for the overcoupled bare cavity
+(kappa_wg = kappa).
+
+Multiplied out, r = N / P with Q = gamma_tot/2 + i (delta - delta_a),
+
+    P = (kappa/2 + i delta) Q + g^2,    N = P - kappa_wg Q,
+
+and with c = g^2 - delta (delta - delta_a) the four real parts are
+
+    Re P = c + kappa gamma_tot / 4,
+    Im P = (kappa/2) (delta - delta_a) + delta gamma_tot / 2,
+    Re N = c + (kappa/2 - kappa_wg) gamma_tot / 2,
+    Im N = (kappa/2 - kappa_wg) (delta - delta_a) + delta gamma_tot / 2.
+
+R = |r|^2 = (Re N^2 + Im N^2) / (Re P^2 + Im P^2) is evaluated in real
+arithmetic, in a few float buffers, with no complex temporary. For
+g = 0, Q cancels: P = kappa/2 + i delta and N = P - kappa_wg. For g > 0
+and kappa > 0, P has no zero. Before any product, the probe, delta_a and
+every rate are divided by 2^e, the power of two at or above the largest
+of them (``math.frexp``). R is homogeneous of degree 0, so this is exact:
+2^k-scaled inputs give bit-identical R, and g^2 cannot overflow.
 
 Spectral drift of the emitter is modelled as a Gaussian convolution of
 the reflectivity spectrum on its (uniform) probe grid.
@@ -22,10 +44,10 @@ the emitter reference line; the cavity is at ``delta_ca`` above that
 reference, so the transition detunings from the cavity are
 ``spin_down_offset - delta_ca`` and that plus the splitting.
 """
-
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,41 +111,77 @@ class Spectrum:
         return float(self.detunings[int(np.argmin(self.values))])
 
 
+def _parts(
+    params: SystemParams, atom_detuning: float, probe: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray, float | np.ndarray, np.ndarray]:
+    """(Re N, Im N, Re P, Im P) of the module docstring on ``probe``, all over 2^e.
+
+    Each array is fresh; for g = 0 the real parts are floats.
+    """
+    probe = np.asarray(probe, dtype=float)
+    if params.kappa_wg <= 0.0:
+        raise ValueError("reflection requires kappa_wg > 0 (no waveguide port)")
+    rates = (params.g, params.kappa, params.kappa_wg, params.gamma_coherence, atom_detuning)
+    top = max(max(abs(r) for r in rates), probe.max(initial=0.0), -probe.min(initial=0.0))
+    _, exponent = math.frexp(top)
+    g, kappa, kappa_wg, gamma_tot, delta_a = (math.ldexp(float(r), -exponent) for r in rates)
+    half_kappa, half_gamma = 0.5 * kappa, 0.5 * gamma_tot
+    leak = half_kappa - kappa_wg
+    delta = np.multiply(probe, math.ldexp(1.0, -exponent))
+    if g == 0.0:
+        return leak, delta, half_kappa, delta.copy()
+    # delta - delta_a first: exact near delta_a, where it sets Im P and Im N
+    shared = np.subtract(delta, delta_a)
+    im_p = np.multiply(shared, half_kappa)
+    im_n = np.multiply(shared, leak)
+    shared *= delta
+    delta *= half_gamma
+    im_p += delta
+    im_n += delta
+    re_p = np.subtract(g * g + half_kappa * half_gamma, shared, out=delta)
+    re_n = np.subtract(g * g + leak * half_gamma, shared, out=shared)
+    return re_n, im_n, re_p, im_p
+
+
+def _normal(squared_modulus: np.ndarray) -> np.ndarray:
+    # |P|^2 > 0 in exact arithmetic; below the normal range it has lost bits
+    if squared_modulus.min(initial=math.inf) < sys.float_info.min:
+        raise ValueError(
+            "reflection out of double range: the rates and probe span too many decades"
+            " (|P|^2 underflows)"
+        )
+    return squared_modulus
+
+
 def reflection_amplitude(
     params: SystemParams, atom_detuning: float, probe: np.ndarray
 ) -> np.ndarray:
-    """Complex r(delta) on the probe grid; see the module formula."""
-    probe = np.asarray(probe, dtype=float)
-    kappa = params.kappa
-    if params.kappa_wg <= 0.0:
-        raise ValueError("reflection requires kappa_wg > 0 (no waveguide port)")
-    gamma_tot = params.gamma_coherence
-    cavity_term = 1j * probe + 0.5 * kappa
-    if params.g > 0.0:
-        dipole_denom = 1j * (probe - atom_detuning) + 0.5 * gamma_tot
-        with np.errstate(divide="ignore", invalid="ignore"):
-            atom_term = np.where(
-                np.abs(dipole_denom) > 0.0, params.g**2 / dipole_denom, np.inf
-            )
-        denom = cavity_term + atom_term
-        with np.errstate(invalid="ignore"):
-            r = np.where(np.isfinite(denom), 1.0 - params.kappa_wg / denom, 1.0)
-    else:
-        r = 1.0 - params.kappa_wg / cavity_term
-    return r
+    """Complex r(delta) = N / P on the probe grid; see the module docstring."""
+    re_n, im_n, re_p, im_p = _parts(params, atom_detuning, probe)
+    _normal(re_p * re_p + im_p * im_p)
+    return (re_n + 1j * im_n) / (re_p + 1j * im_p)
+
+
+def _squared_modulus(re: float | np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 into ``im``; ``re`` is overwritten too unless it is a float."""
+    re *= re
+    im *= im
+    im += re
+    return im
 
 
 def reflectivity(
     params: SystemParams, atom_detuning: float, probe_grid: np.ndarray
 ) -> Spectrum:
-    """Power reflectivity R = |r|^2; passive, so R <= 1 always."""
+    """Power reflectivity R = |N|^2 / |P|^2; passive, so R <= 1 always."""
     probe_grid = np.asarray(probe_grid, dtype=float)
     if probe_grid.ndim != 1 or probe_grid.size < 1:
         raise ValueError("probe_grid must be a non-empty 1-d array")
     if probe_grid.size > 1 and not np.all(np.diff(probe_grid) > 0.0):
         raise ValueError("probe_grid must be strictly increasing")
-    r = reflection_amplitude(params, atom_detuning, probe_grid)
-    values = np.abs(r) ** 2
+    re_n, im_n, re_p, im_p = _parts(params, atom_detuning, probe_grid)
+    values = _squared_modulus(re_n, im_n)
+    values /= _normal(_squared_modulus(re_p, im_p))
     if values.max() > 1.0 + 1e-9:
         raise ValueError(f"reflectivity {values.max()} exceeds 1 beyond numerical slack")
     return Spectrum(detunings=probe_grid, values=values)
@@ -189,10 +247,7 @@ def spin_contrast(down: Spectrum, up: Spectrum) -> np.ndarray:
     """|R_down - R_up| / (R_down + R_up), zero where both reflectivities vanish."""
     total = down.values + up.values
     diff = np.abs(down.values - up.values)
-    out = np.zeros_like(total)
-    ok = total >= 1e-12
-    out[ok] = diff[ok] / total[ok]
-    return out
+    return np.divide(diff, total, out=np.zeros_like(total), where=total >= 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,39 @@ def test_fom_sweep_rejects_non_positive_medium_index(tmp_path, capsys, block, me
     assert not (out / "fom_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command,payload", [("spectrum", SPECTRUM_CFG), ("contrast", CONTRAST_CFG)])
+def test_reflection_without_waveguide_port_names_its_key(tmp_path, capsys, monkeypatch, command,
+                                                         payload):
+    def never(*args, **kwargs):
+        raise AssertionError("a probe grid was built")
+
+    for name in ("reflectivity", "spin_spectra", "contrast_curve"):
+        monkeypatch.setattr(cli, name, never)
+    system = {**payload["system"], "kappa_wg": {"value": 0, "unit": "GHz"}}
+    rc, out = run_cli(tmp_path, command, {**payload, "system": system})
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {
+        "type": "ConfigError",
+        "message": "system.kappa_wg: must be > 0 for reflection (no waveguide port)",
+        "exit_code": 2,
+    }
+
+
+def test_spectrum_at_extreme_rates_is_finite(tmp_path):
+    # g^2 of these rates overflows a float: the reflection scales the rates first
+    huge = {"value": 1e150, "unit": "GHz"}
+    cfg = {
+        "system": {"g": huge, "kappa_wg": huge},
+        "probe": {"start": {"value": -1e150, "unit": "GHz"}, "stop": huge, "points": 101},
+    }
+    rc, out = run_cli(tmp_path, "spectrum", cfg)
+    assert rc == 0
+    values = np.array([float(row[1]) for row in read_rows(out / "spectrum.csv")[1:]])
+    assert values.size == 101
+    assert np.all(np.isfinite(values)) and values.max() <= 1.0
+
+
 def test_bad_grid_payload_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.fgrd"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -49,6 +49,8 @@ def test_beta_approaches_unity_without_emitter_loss():
 def test_beta_is_zero_without_coupling():
     params = SystemParams(g=0.0, **BASE_RATES)
     assert cavity_efficiency(params) == pytest.approx(0.0, abs=1e-12)
+    # no cavity loss either: gamma still empties |e,0>, and no photon reaches the cavity
+    assert cavity_efficiency(SystemParams(g=0.0, kappa_wg=0.0, gamma=mhz(100))) == 0.0
 
 
 def test_beta_at_unit_cooperativity_is_near_half():
@@ -91,8 +93,15 @@ def test_beta_without_any_decay_path_fails_loudly():
     with pytest.raises(NonConvergedError, match="non-converged integral: no energy decay channel"):
         cavity_efficiency(SystemParams(g=ghz(5), kappa_wg=0.0, gamma=0.0))
     # without coupling and emitter decay the excitation stays in |e,0>
-    with pytest.raises(NonConvergedError, match="non-converged integral"):
+    with pytest.raises(NonConvergedError, match=r"never leaves \|e,0> \(g and gamma both zero\)"):
         cavity_efficiency(SystemParams(g=0.0, kappa_wg=ghz(10), gamma=0.0))
+
+
+def test_sweep_cooperativity_at_rates_whose_square_overflows():
+    # 4 g^2 / (kappa gamma) with g^2 beyond the float range; C = 4e10 exactly
+    (row,) = fom_sweep(SystemParams(g=0.0, kappa_wg=1e160, gamma=1e150), g_values=[1e160])
+    assert row.status == "ok"
+    assert row.cooperativity == pytest.approx(4e10, rel=1e-15, abs=0.0)
 
 
 def test_indistinguishability_is_unity_without_dephasing():
