@@ -44,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
+from .constants import SPEED_OF_LIGHT
 from .errors import GridFormatError
+from .fom import g_from_mode_volume
 from .params import DipoleSpec
 
 MAGIC = b"FGRD"
@@ -281,9 +282,9 @@ def _infer_axis(values: np.ndarray, name: str, path) -> tuple[int, float, float]
     n = unique.size
     if n == 1:
         return 1, math.nan, float(unique[0])
-    steps = np.diff(unique)
-    step = float(steps[0])
-    if not np.allclose(steps, step, rtol=1e-9, atol=0.0):
+    # end to end: a first difference of two centres is off by a few ulp
+    step = float((unique[-1] - unique[0]) / (n - 1))
+    if not np.allclose(np.diff(unique), step, rtol=1e-9, atol=0.0):
         raise GridFormatError(f"{path}: non-uniform spacing along {name}")
     return n, step, float(unique[0])
 
@@ -425,8 +426,6 @@ def g_field(
     """
     if omega is None:
         omega = 2.0 * math.pi * SPEED_OF_LIGHT / grid.wavelength
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
     intensity = _intensity(grid.efield)
     vres = _mode_volume(grid, grid.eps * intensity)
     axis = dipole.axis
@@ -436,13 +435,8 @@ def g_field(
         amplitude = np.abs(np.tensordot(grid.efield, axis.astype(complex), axes=([3], [0])))
     # sqrt is monotone, so this equals the maximum of sqrt(intensity) exactly
     e_max = math.sqrt(float(intensity.max()))
-    g_peak = (
-        dipole.overlap_xi
-        * dipole.mu
-        * math.sqrt(omega / (2.0 * VACUUM_PERMITTIVITY * HBAR * vres.v_m3))
-    )
     return ScalarField(
-        values=g_peak * amplitude / e_max,
+        values=g_from_mode_volume(vres.v_m3, dipole, omega) * amplitude / e_max,
         dielectric_mask=grid.dielectric_mask(),
         dx=grid.dx,
         dy=grid.dy,

@@ -30,13 +30,11 @@ the denominator (int n dt)^2 / 2 of I folded in. As every rate is >= 0,
 no sum cancels and both figures hold to a few ulp; at gamma_star = 0,
 I = 1 to round-off.
 
-Both figures are homogeneous of degree 0 in the rates. Before any
-product the rates are divided by 2^e, the power of two at or above the
-largest of them (``math.frexp``). That division is exact, so 2^k-scaled
-rates give bit-identical figures, and the degree-11 terms stay in float
-range at any rate scale. Only rates that span some hundred decades can
-still underflow a denominator below the normal float range, which raises
-NonConvergedError.
+Both figures are homogeneous of degree 0 in the rates, so they are
+computed on the rates scaled by ``params._power_of_two_scaled``, and the
+degree-11 terms stay in float range at any rate scale. Only rates that
+span some hundred decades can still underflow a denominator below the
+normal float range, which raises NonConvergedError.
 """
 
 from __future__ import annotations
@@ -47,15 +45,13 @@ from dataclasses import dataclass, replace
 
 from .constants import HBAR, SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from .errors import NonConvergedError
-from .params import DEFAULT_OMEGA, DipoleSpec, SystemParams
+from .params import DEFAULT_OMEGA, DipoleSpec, SystemParams, _power_of_two_scaled
 
 
 def _scaled_rates(params: SystemParams) -> tuple[float, ...]:
-    """(g, kappa, kappa_wg, gamma, gamma_star, delta_ca) over 2^e (module docstring)."""
-    rates = (params.g, params.kappa, params.kappa_wg, params.gamma, params.gamma_star,
-             params.delta_ca)
-    _, exponent = math.frexp(max(abs(r) for r in rates))
-    return tuple(math.ldexp(float(r), -exponent) for r in rates)
+    """(g, kappa, kappa_wg, gamma, gamma_star, delta_ca), scaled (module docstring)."""
+    return _power_of_two_scaled((params.g, params.kappa, params.kappa_wg, params.gamma,
+                                 params.gamma_star, params.delta_ca))[1]
 
 
 def _normal(denominator: float) -> float:

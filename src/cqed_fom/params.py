@@ -12,6 +12,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,19 @@ from .constants import SPEED_OF_LIGHT
 # Default optical carrier: 737 nm zero-phonon line.
 DEFAULT_WAVELENGTH = 737e-9
 DEFAULT_OMEGA = 2.0 * math.pi * SPEED_OF_LIGHT / DEFAULT_WAVELENGTH
+
+
+def _power_of_two_scaled(values: Sequence[float]) -> tuple[int, tuple[float, ...]]:
+    """(e, values / 2^e), with 2^e the power of two at or above the largest |value|.
+
+    Dividing by a power of two is exact in the normal float range. A
+    ratio of products of equal degree in the values (reflectivity, beta,
+    I, cooperativity) is therefore unchanged by the scaling, 2^k-scaled
+    inputs give bit-identical results, and no square or higher product
+    of the scaled values, all at most 1 in magnitude, can overflow.
+    """
+    _, exponent = math.frexp(max(map(abs, values)))
+    return exponent, tuple([math.ldexp(v, -exponent) for v in values])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -90,18 +104,11 @@ class SystemParams:
         return 2.0 * math.pi * SPEED_OF_LIGHT / self.omega
 
     def cooperativity(self) -> float:
-        """C = 4 g^2 / (kappa * gamma).
-
-        The rates are first divided by the power of two at or above the
-        largest of them. That is exact, so C is unchanged in the normal float
-        range, and g^2 cannot overflow.
-        """
-        kappa, gamma = self.kappa, self.gamma
-        if kappa * gamma <= 0.0:
+        """C = 4 g^2 / (kappa * gamma), on rates scaled by ``_power_of_two_scaled``."""
+        if self.kappa * self.gamma <= 0.0:
             raise ValueError("cooperativity undefined for kappa*gamma == 0")
-        _, exponent = math.frexp(max(self.g, kappa, gamma))
-        g = math.ldexp(self.g, -exponent)
-        return 4.0 * g**2 / (math.ldexp(kappa, -exponent) * math.ldexp(gamma, -exponent))
+        _, (g, kappa, gamma) = _power_of_two_scaled((self.g, self.kappa, self.gamma))
+        return 4.0 * g**2 / (kappa * gamma)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,9 @@ and with c = g^2 - delta (delta - delta_a) the four real parts are
 R = |r|^2 = (Re N^2 + Im N^2) / (Re P^2 + Im P^2) is evaluated in real
 arithmetic, in a few float buffers, with no complex temporary. For
 g = 0, Q cancels: P = kappa/2 + i delta and N = P - kappa_wg. For g > 0
-and kappa > 0, P has no zero. Before any product, the probe, delta_a and
-every rate are divided by 2^e, the power of two at or above the largest
-of them (``math.frexp``). R is homogeneous of degree 0, so this is exact:
-2^k-scaled inputs give bit-identical R, and g^2 cannot overflow.
+and kappa > 0, P has no zero. R is homogeneous of degree 0 in the probe,
+delta_a and the rates, so it is computed on them scaled by
+``params._power_of_two_scaled``, where g^2 cannot overflow.
 
 Spectral drift of the emitter is modelled as a Gaussian convolution of
 the reflectivity spectrum on its (uniform) probe grid.
@@ -52,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import SystemParams
+from .params import SystemParams, _power_of_two_scaled
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -114,17 +113,17 @@ class Spectrum:
 def _parts(
     params: SystemParams, atom_detuning: float, probe: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray, float | np.ndarray, np.ndarray]:
-    """(Re N, Im N, Re P, Im P) of the module docstring on ``probe``, all over 2^e.
+    """(Re N, Im N, Re P, Im P) of the module docstring on ``probe``, all scaled.
 
     Each array is fresh; for g = 0 the real parts are floats.
     """
     probe = np.asarray(probe, dtype=float)
     if params.kappa_wg <= 0.0:
         raise ValueError("reflection requires kappa_wg > 0 (no waveguide port)")
-    rates = (params.g, params.kappa, params.kappa_wg, params.gamma_coherence, atom_detuning)
-    top = max(max(abs(r) for r in rates), probe.max(initial=0.0), -probe.min(initial=0.0))
-    _, exponent = math.frexp(top)
-    g, kappa, kappa_wg, gamma_tot, delta_a = (math.ldexp(float(r), -exponent) for r in rates)
+    exponent, (g, kappa, kappa_wg, gamma_tot, delta_a, *_) = _power_of_two_scaled((
+        params.g, params.kappa, params.kappa_wg, params.gamma_coherence, atom_detuning,
+        probe.min(initial=0.0), probe.max(initial=0.0),
+    ))
     half_kappa, half_gamma = 0.5 * kappa, 0.5 * gamma_tot
     leak = half_kappa - kappa_wg
     delta = np.multiply(probe, math.ldexp(1.0, -exponent))
@@ -273,17 +272,17 @@ def _auto_probe_grid(params: SystemParams, spin: SpinConfig) -> np.ndarray:
 
     Span covers the polariton excursions of both transitions plus loss,
     splitting and drift margins; the step resolves the splitting, the
-    drift kernel (sigma >= 2.5 steps) and the cavity linewidth.
+    drift kernel (sigma >= 2.5 steps) and the cavity linewidth. Both are
+    worked out on rates scaled by ``params._power_of_two_scaled``, and the
+    grid has at most 500_000 points. Raises ValueError when the grid
+    would be wider than the largest double.
     """
-    kappa, g = params.kappa, params.g
-    gamma_tot = params.gamma_coherence
-    sigma = spin.drift_sigma
-    split = spin.zeeman_split
-    reach = 0.0
-    for delta_a in (spin.down_offset - params.delta_ca, spin.up_offset - params.delta_ca):
-        reach = max(reach, 0.5 * abs(delta_a) + math.sqrt(g**2 + 0.25 * delta_a**2))
-    margin = 5.0 * (kappa + gamma_tot) + 8.0 * sigma + split
-    span = reach + margin
+    exponent, (kappa, g, gamma_tot, sigma, split, *transitions) = _power_of_two_scaled((
+        params.kappa, params.g, params.gamma_coherence, spin.drift_sigma, spin.zeeman_split,
+        spin.down_offset - params.delta_ca, spin.up_offset - params.delta_ca,
+    ))
+    reach = max(0.5 * abs(d) + math.sqrt(g**2 + 0.25 * d**2) for d in transitions)
+    span = reach + (5.0 * (kappa + gamma_tot) + 8.0 * sigma + split)
     steps = [kappa / 50.0]
     if sigma > 0.0:
         steps.append(sigma / 2.5)
@@ -291,11 +290,16 @@ def _auto_probe_grid(params: SystemParams, spin: SpinConfig) -> np.ndarray:
         steps.append(split / 25.0)
     if gamma_tot > 0.0:
         steps.append(max(gamma_tot, sigma) / 6.0)
-    h = min(steps)
-    n = int(2.0 * span / h) + 1
-    if n > 500_000:
-        n = 500_000
-    return np.linspace(-span, span, n)
+    # the cap comes before int(), which an unbounded ratio would overflow
+    n = int(min(2.0 * span / min(steps), 500_000 - 1)) + 1
+    try:
+        width = math.ldexp(span, exponent + 1)  # linspace forms stop - start = 2 span
+    except OverflowError:
+        raise ValueError(
+            "reflection out of double range: the rates are too large for a probe grid"
+            " (its width overflows)"
+        ) from None
+    return np.linspace(-0.5 * width, 0.5 * width, n)
 
 
 def contrast_curve(
@@ -307,16 +311,23 @@ def contrast_curve(
     """Scan the cavity-emitter detuning and report the achievable contrast.
 
     For every detuning the two drift-convolved spin spectra are computed
-    and the probe either optimized ("max-contrast") or held at a fixed
-    detuning (a float, rad/s). Points where both spin states reflect less
-    than 1e-12 are excluded from the probe optimization.
+    and the probe either optimized ("max-contrast", over the
+    ``_auto_probe_grid`` of that detuning) or held at a fixed detuning (a
+    float, rad/s, reported as given). A fixed probe is evaluated alone
+    without drift, and with drift at the centre of a 65-point window
+    sigma/4 apart, so that it sees a converged convolution. Points where
+    both spin states reflect less than 1e-12 are excluded from the probe
+    optimization.
     """
     cavity_detunings = np.asarray(cavity_detunings, dtype=float)
     if cavity_detunings.ndim != 1 or cavity_detunings.size < 1:
         raise ValueError("cavity_detunings must be a non-empty 1-d array")
-    fixed_probe = None
+    fixed_grid = None
     if not isinstance(probe_policy, str):
-        fixed_probe = float(probe_policy)
+        fixed_probe, sigma = float(probe_policy), spin.drift_sigma
+        centre = 32 if sigma > 0.0 else 0  # +-8 sigma: the convolution converges at the centre
+        fixed_grid = fixed_probe + np.arange(-centre, centre + 1) * (sigma / 4.0)
+        fixed_grid[centre] = fixed_probe  # the probe as given: -0.0 + 0.0 would be +0.0
     elif probe_policy != "max-contrast":
         raise ValueError(f"unknown probe policy {probe_policy!r}")
 
@@ -325,33 +336,12 @@ def contrast_curve(
     abs_diff = np.empty(cavity_detunings.size)
     for k, delta in enumerate(cavity_detunings):
         here = replace(params, delta_ca=float(delta))
-        if fixed_probe is None:
-            grid = _auto_probe_grid(here, spin)
-            down, up = spin_spectra(here, spin, grid)
-            c = spin_contrast(down, up)
-            j = int(np.argmax(c))
-            best_probe[k] = grid[j]
-            contrast[k] = c[j]
-            abs_diff[k] = abs(down.values[j] - up.values[j])
-        else:
-            sigma = spin.drift_sigma
-            if sigma > 0.0:
-                # local window so the fixed probe sees a converged convolution
-                h = sigma / 4.0
-                half = int(math.ceil(8.0 * sigma / h))
-                grid = fixed_probe + np.arange(-half, half + 1) * h
-                down, up = spin_spectra(here, spin, grid)
-                c = spin_contrast(down, up)
-                mid = half
-                best_probe[k] = fixed_probe
-                contrast[k] = c[mid]
-                abs_diff[k] = abs(down.values[mid] - up.values[mid])
-            else:
-                grid = np.array([fixed_probe])
-                down, up = spin_spectra(here, spin, grid)
-                best_probe[k] = fixed_probe
-                contrast[k] = spin_contrast(down, up)[0]
-                abs_diff[k] = abs(down.values[0] - up.values[0])
+        grid = _auto_probe_grid(here, spin) if fixed_grid is None else fixed_grid
+        down, up = spin_spectra(here, spin, grid)
+        c = spin_contrast(down, up)
+        j = int(np.argmax(c)) if fixed_grid is None else centre
+        best_probe[k], contrast[k] = grid[j], c[j]
+        abs_diff[k] = abs(down.values[j] - up.values[j])
     return ContrastCurve(
         cavity_detunings=cavity_detunings,
         best_probe=best_probe,

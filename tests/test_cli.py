@@ -355,6 +355,51 @@ def test_spectrum_at_extreme_rates_is_finite(tmp_path):
     assert np.all(np.isfinite(values)) and values.max() <= 1.0
 
 
+def _contrast_at(g, kappa_wg, split, detunings, gamma=0.0):
+    return {
+        "system": {"g": g, "kappa_wg": kappa_wg, "gamma": {"value": gamma, "unit": "GHz"}},
+        "spin": {"zeeman_split": split},
+        "contrast": {"start": detunings[0], "stop": detunings[1], "points": 3},
+    }
+
+
+def test_contrast_at_extreme_coupling_is_finite(tmp_path):
+    # g^2 of these rates overflows a float: the auto probe grid scales the rates first
+    huge = {"value": 1e150, "unit": "GHz"}
+    cfg = _contrast_at(huge, huge, huge, ({"value": -1e150, "unit": "GHz"}, huge))
+    rc, out = run_cli(tmp_path, "contrast", cfg)
+    assert rc == 0
+    rows = np.array([[float(v) for v in row] for row in read_rows(out / "contrast.csv")[1:]])
+    assert rows.shape == (3, 4) and np.all(np.isfinite(rows))
+    assert np.all((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0))
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        # 5 kappa alone exceeds the largest double, so no probe grid can hold the line
+        (_contrast_at({"value": 10, "unit": "GHz"}, {"value": 1e298, "unit": "GHz"},
+                      {"value": 1, "unit": "GHz"},
+                      ({"value": 5, "unit": "GHz"}, {"value": 300, "unit": "GHz"}), gamma=0.1),
+         "reflection out of double range: the rates are too large for a probe grid"
+         " (its width overflows)"),
+        # kappa 320 decades below g: the grid step is subnormal, |P|^2 underflows
+        (_contrast_at({"value": 1e200, "unit": "GHz"}, {"value": 1e-120, "unit": "GHz"},
+                      {"value": 1, "unit": "GHz"},
+                      ({"value": 5, "unit": "GHz"}, {"value": 300, "unit": "GHz"})),
+         "reflection out of double range: the rates and probe span too many decades"
+         " (|P|^2 underflows)"),
+    ],
+    ids=["kappa-1e298", "g-1e200-kappa-1e-120"],
+)
+def test_contrast_beyond_double_range_is_a_config_error(tmp_path, capsys, cfg, message):
+    rc, out = run_cli(tmp_path, "contrast", cfg)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
+    assert not (out / "contrast.csv").exists()
+
+
 def test_bad_grid_payload_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.fgrd"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,32 @@ def test_csv_round_trip_matches_binary(tmp_path):
     np.testing.assert_allclose(gc.efield, gb.efield, atol=1e-12, rtol=0.0)
     np.testing.assert_allclose(gc.origin, gb.origin, atol=1e-12 * abs(gb.origin).max())
     assert gc.dx == pytest.approx(gb.dx, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DEFAULT_SYNTH_SPEC, ULTRA_CONFINED_SYNTH_SPEC, replace(DEFAULT_SYNTH_SPEC, shape=(50, 25, 15))],
+    ids=["default", "ultra-confined", "50x25x15"],
+)
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_csv_round_trip_keeps_voxel_steps_exact(tmp_path, spec, axis):
+    # the voxel centres of ``spec`` along ``axis``, two planes across it
+    steps = tuple(length / n for length, n in zip(spec.size, spec.shape))
+    shape = tuple(n if k == axis else 2 for k, n in enumerate(spec.shape))
+    grid = FieldGrid(
+        eps=np.ones(shape),
+        efield=np.ones(shape + (3,), dtype=complex),
+        dx=steps[0],
+        dy=steps[1],
+        dz=steps[2],
+        origin=-0.5 * np.array(spec.size),
+        wavelength=spec.wavelength,
+        n_ref=spec.n_ref,
+    )
+    path = tmp_path / "m.csv"
+    save_grid_csv(grid, path)
+    back = load_grid_csv(path, spec.wavelength, spec.n_ref)
+    assert (back.dx, back.dy, back.dz)[axis] == steps[axis]
 
 
 def test_csv_loader_requires_metadata(tmp_path):

@@ -1,12 +1,14 @@
 """Waveguide reflection spectra, drift convolution and spin contrast."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from cqed_fom.params import SystemParams
 from cqed_fom.reflection import (
@@ -309,3 +311,81 @@ def test_contrast_curve_fixed_probe_policy():
     # optimizing the probe can only help
     free = contrast_curve(params, spin, detunings)
     assert np.all(free.contrast >= curve.contrast - 1e-9)
+
+
+def test_contrast_curve_fixed_probe_without_drift_is_two_reflectivities():
+    params = SystemParams(g=ghz(10), kappa_wg=ghz(10), gamma=mhz(100))
+    spin = SpinConfig(zeeman_split=ghz(1))
+    detunings = np.linspace(ghz(95), ghz(105), 3)
+    probe = -ghz(101.5)
+    curve = contrast_curve(params, spin, detunings, probe_policy=probe)
+    for k, delta in enumerate(detunings):
+        here = replace(params, delta_ca=delta)
+        down = reflectivity(here, spin.down_offset - delta, np.array([probe]))
+        up = reflectivity(here, spin.up_offset - delta, np.array([probe]))
+        assert curve.best_probe[k] == probe
+        assert curve.contrast[k] == spin_contrast(down, up)[0]
+        assert curve.abs_diff[k] == abs(down.values[0] - up.values[0])
+    assert curve.contrast.max() > 0.1  # the probe sits on a spin-dependent dip
+
+
+def _drifted_reflectivity(params, delta_a, probe, sigma):
+    """Gaussian average of the closed-form |r|^2 around ``probe`` by adaptive quadrature."""
+    def weighted(x):
+        delta = probe + x
+        dipole = 0.5 * params.gamma_coherence + 1j * (delta - delta_a)
+        r = 1.0 - params.kappa_wg / (1j * delta + 0.5 * params.kappa + params.g**2 / dipole)
+        return abs(r) ** 2 * math.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+
+    dip = delta_a - probe
+    breaks = sorted(b for b in {-sigma, 0.0, sigma, dip} if abs(b) < 10.0 * sigma)
+    value, _ = quad(weighted, -10.0 * sigma, 10.0 * sigma, points=breaks, limit=400,
+                    epsabs=1e-13, epsrel=1e-11)
+    return value
+
+
+def test_contrast_curve_fixed_probe_with_drift_matches_gaussian_average():
+    # the 65-point window sigma/4 apart against quadrature of the closed form;
+    # 1e-4 is the benchmark's contrast tolerance; the measured error is 1.8e-10
+    params = SystemParams(g=ghz(10), kappa_wg=ghz(10), gamma=mhz(100))
+    spin = SpinConfig(zeeman_split=ghz(1), drift=mhz(50))
+    detunings = np.linspace(ghz(95), ghz(105), 3)
+    probe = -ghz(101.5)
+    curve = contrast_curve(params, spin, detunings, probe_policy=probe)
+    for k, delta in enumerate(detunings):
+        here = replace(params, delta_ca=delta)
+        down, up = (
+            _drifted_reflectivity(here, offset - delta, probe, spin.drift_sigma)
+            for offset in (spin.down_offset, spin.up_offset)
+        )
+        assert curve.best_probe[k] == probe
+        assert curve.abs_diff[k] == pytest.approx(abs(down - up), rel=0.0, abs=1e-4)
+        assert curve.contrast[k] == pytest.approx(abs(down - up) / (down + up), rel=0.0, abs=1e-4)
+    assert curve.contrast.max() > 0.1
+
+
+@pytest.mark.parametrize("drift", [0.0, mhz(50)])
+def test_contrast_curve_reports_fixed_probe_as_given(drift):
+    params = SystemParams(g=ghz(10), kappa_wg=ghz(10), gamma=mhz(100))
+    curve = contrast_curve(params, SpinConfig(zeeman_split=ghz(1), drift=drift),
+                           np.array([ghz(20), ghz(40)]), probe_policy=-0.0)
+    assert np.all(curve.best_probe == 0.0) and np.all(np.signbit(curve.best_probe))
+
+
+def test_contrast_curve_is_exact_under_power_of_two_scaling():
+    # the auto probe grid is built on scaled rates, so 2^k-scaled inputs give
+    # bit-identical contrast, also where g^2 of the raw rates leaves the float range
+    params = SystemParams(g=ghz(10), kappa_wg=ghz(10), gamma=mhz(100))
+    spin = SpinConfig(zeeman_split=ghz(1), drift=mhz(50))
+    detunings = np.linspace(ghz(20), ghz(200), 4)
+    base = contrast_curve(params, spin, detunings)
+    for k in (-600, 600):
+        scaled = contrast_curve(
+            SystemParams(g=math.ldexp(ghz(10), k), kappa_wg=math.ldexp(ghz(10), k),
+                         gamma=math.ldexp(mhz(100), k)),
+            SpinConfig(zeeman_split=math.ldexp(ghz(1), k), drift=math.ldexp(mhz(50), k)),
+            np.ldexp(detunings, k),
+        )
+        np.testing.assert_array_equal(scaled.contrast, base.contrast)
+        np.testing.assert_array_equal(scaled.abs_diff, base.abs_diff)
+        np.testing.assert_array_equal(scaled.best_probe, np.ldexp(base.best_probe, k))
