@@ -148,16 +148,16 @@ def _table_name(stem: str, fmt: str) -> str:
     return f"{stem}.{'json' if fmt == 'json' else 'csv'}"
 
 
-def _load_field(cfg: RunConfig, command: str) -> fieldgrid.FieldGrid:
-    """Grid file when configured, else the synthetic mode; one is required."""
+def _reduced_field(cfg: RunConfig, command: str, axis=None) -> fieldgrid._Reduced:
+    """Float reductions of the grid file when configured, else of the synthetic mode."""
     if cfg.grid is not None:
         g = cfg.grid
-        return fieldgrid.load_grid(
-            g.path, fmt=g.fmt, wavelength=g.wavelength, n_ref=g.n_ref
-        )
-    if cfg.synth is not None:
-        return fieldgrid.synth_mode(cfg.synth)
-    raise ConfigError(f"command {command!r} needs a 'grid' or 'synth' block")
+        source = fieldgrid._grid_source(g.path, g.fmt, g.wavelength, g.n_ref)
+    elif cfg.synth is not None:
+        source = fieldgrid._synth_source(cfg.synth)
+    else:
+        raise ConfigError(f"command {command!r} needs a 'grid' or 'synth' block")
+    return fieldgrid._reduce(*source, axis)
 
 
 def _medium_index(cfg: RunConfig) -> float:
@@ -228,8 +228,7 @@ def cmd_contrast(cfg: RunConfig, out: str, fmt: str) -> None:
 
 
 def cmd_modevol(cfg: RunConfig, out: str, fmt: str) -> None:
-    grid = _load_field(cfg, "modevol")
-    res = fieldgrid.mode_volume(grid)
+    res = fieldgrid._mode_volume(_reduced_field(cfg, "modevol"))
     row = {
         "V_m3": res.v_m3,
         "V_lambda_n3": res.v_norm,
@@ -247,7 +246,7 @@ def cmd_modevol(cfg: RunConfig, out: str, fmt: str) -> None:
 
 def cmd_gmap(cfg: RunConfig, out: str, fmt: str) -> None:
     dipole = cfg.dipole or DEFAULT_DIPOLE
-    field = fieldgrid.g_field(_load_field(cfg, "gmap"), dipole)
+    field = fieldgrid._g_field(_reduced_field(cfg, "gmap", dipole.axis), dipole)
     nx, ny, nz = field.shape
     # only nx + ny + nz coordinates and two flags are distinct: format each
     # once, then tile
@@ -267,9 +266,8 @@ def cmd_gmap(cfg: RunConfig, out: str, fmt: str) -> None:
 
 def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str) -> None:
     settings = cfg.require("implant", "implant-stats")
-    grid = _load_field(cfg, "implant-stats")
     dipole = cfg.dipole or DEFAULT_DIPOLE
-    field = fieldgrid.g_field(grid, dipole)
+    field = fieldgrid._g_field(_reduced_field(cfg, "implant-stats", dipole.axis), dipole)
     curve = median_vs_D_curve(
         field, settings.diameters, center=settings.center, plane=settings.plane
     )
@@ -319,9 +317,8 @@ def cmd_implant_stats(cfg: RunConfig, out: str, fmt: str) -> None:
 
 def cmd_synth_field(cfg: RunConfig, out: str, fmt: str) -> None:
     spec = cfg.require("synth", "synth-field")
-    grid = fieldgrid.synth_mode(spec)
     path = os.path.join(out, cfg.synth_output)
-    fieldgrid.save_grid(grid, path)
+    fieldgrid._save_checked(*fieldgrid._synth_source(spec), path)
     log.info("wrote %s", path)
 
 

@@ -12,6 +12,15 @@ position-dependent coupling rate follows from the field ratio,
 
     g(r) = xi * mu * sqrt(omega / (2 eps0 hbar V)) * |u . E(r)| / max|E|.
 
+Every grid source yields its field one z-slab at a time: a ``.fgrd`` or
+CSV file, an in-memory ``FieldGrid`` and the synthetic mode alike. One
+reducer keeps only float arrays of it, |E|^2 per voxel and, for a fixed
+dipole axis, |u . E|, and runs the ``FieldGrid`` checks on them; the
+mode volume and the coupling map are computed from those arrays. So the
+field commands hold eps and at most three float arrays, never the
+complex (nx, ny, nz, 3) field: only ``load_grid`` (and ``synth_mode``)
+build that, for library callers who want a ``FieldGrid``.
+
 Binary format (extension ``.fgrd``, little endian)
 --------------------------------------------------
     bytes 0-3   magic "FGRD"
@@ -23,8 +32,8 @@ Binary format (extension ``.fgrd``, little endian)
 
 The field payload is byte for byte little-endian complex128 (each value
 is its real then its imaginary float64), so it is read and written one
-z-slab at a time: loading needs the eps and field arrays plus one z-slab
-of memory, and checks the file size before reading any payload.
+z-slab at a time; the reader checks the file size against the header
+before it reads any payload.
 
 CSV format
 ----------
@@ -36,6 +45,7 @@ those to the loader when they matter.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -52,6 +62,8 @@ from .params import DipoleSpec
 MAGIC = b"FGRD"
 VERSION = 1
 DIELECTRIC_EPS_THRESHOLD = 1.0 + 1e-6
+# what a grid holds besides its field: the "head" of every slab source
+_HEAD = ("eps", "dx", "dy", "dz", "origin", "wavelength", "n_ref")
 
 
 def _check_geometry(dx: float, dy: float, dz: float, origin) -> np.ndarray:
@@ -64,18 +76,66 @@ def _check_geometry(dx: float, dy: float, dz: float, origin) -> np.ndarray:
     return origin
 
 
+def _check_grid(head, field_is_finite, field_is_nonzero) -> np.ndarray:
+    """The ``FieldGrid`` checks after its shape checks, in order; the checked origin.
+
+    ``head`` maps the names of ``_HEAD`` to values. The field enters only
+    through the two callables, each called when its check is reached.
+    """
+    origin = _check_geometry(head["dx"], head["dy"], head["dz"], head["origin"])
+    eps = head["eps"]
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("eps contains non-finite values")
+    if not field_is_finite():
+        raise ValueError("efield contains non-finite values")
+    if eps.min() < 1.0 - 1e-9:
+        raise ValueError(f"relative permittivity below 1: min eps = {eps.min()}")
+    if not np.isfinite(head["wavelength"]) or head["wavelength"] <= 0.0:
+        raise ValueError("wavelength must be finite and > 0")
+    if not np.isfinite(head["n_ref"]) or head["n_ref"] <= 0.0:
+        raise ValueError("n_ref must be finite and > 0")
+    if not field_is_nonzero():
+        raise ValueError("mode field is identically zero")
+    return origin
+
+
 def _voxel_axes(origin, steps, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Voxel-centre coordinates ``origin + (i + 1/2) step`` along each axis."""
     return tuple(o + (np.arange(n) + 0.5) * d for o, d, n in zip(origin, steps, shape))
 
 
 def _intensity(efield: np.ndarray) -> np.ndarray:
-    """|E|^2 per voxel; every caller shares this expression, so bits agree."""
-    return np.sum(np.abs(efield) ** 2, axis=-1)
+    """|E|^2 per voxel; every caller shares this expression, so bits agree.
+
+    The sum is (|Ex|^2 + |Ey|^2) + |Ez|^2, the order that ``np.sum`` over
+    the last axis takes, without its slow reduction over three elements.
+    """
+    power = np.abs(efield)
+    power *= power
+    return power[..., 0] + power[..., 1] + power[..., 2]
+
+
+class _Voxels:
+    """Geometry of a grid that has ``eps``, ``dx``, ``dy``, ``dz`` and ``origin``."""
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.eps.shape
+
+    @property
+    def voxel_volume(self) -> float:
+        return self.dx * self.dy * self.dz
+
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Voxel-centre coordinates along each axis."""
+        return _voxel_axes(self.origin, (self.dx, self.dy, self.dz), self.shape)
+
+    def dielectric_mask(self) -> np.ndarray:
+        return self.eps > DIELECTRIC_EPS_THRESHOLD
 
 
 @dataclass
-class FieldGrid:
+class FieldGrid(_Voxels):
     """Permittivity and complex mode field on a regular voxel grid."""
 
     eps: np.ndarray  # (nx, ny, nz) float
@@ -96,39 +156,16 @@ class FieldGrid:
             raise ValueError(
                 f"efield shape {self.efield.shape} does not match eps shape {self.eps.shape}"
             )
-        self.origin = _check_geometry(self.dx, self.dy, self.dz, self.origin)
-        if not np.all(np.isfinite(self.eps)):
-            raise ValueError("eps contains non-finite values")
         # x-slabs are contiguous in C order and keep every temporary small
-        if not all(np.isfinite(e).all() for e in self.efield):
-            raise ValueError("efield contains non-finite values")
-        if self.eps.min() < 1.0 - 1e-9:
-            raise ValueError(f"relative permittivity below 1: min eps = {self.eps.min()}")
-        if not np.isfinite(self.wavelength) or self.wavelength <= 0.0:
-            raise ValueError("wavelength must be finite and > 0")
-        if not np.isfinite(self.n_ref) or self.n_ref <= 0.0:
-            raise ValueError("n_ref must be finite and > 0")
-        if not any(np.any(eps * _intensity(e) > 0.0) for eps, e in zip(self.eps, self.efield)):
-            raise ValueError("mode field is identically zero")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.eps.shape
-
-    @property
-    def voxel_volume(self) -> float:
-        return self.dx * self.dy * self.dz
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Voxel-centre coordinates along each axis."""
-        return _voxel_axes(self.origin, (self.dx, self.dy, self.dz), self.shape)
+        self.origin = _check_grid(
+            vars(self),
+            lambda: all(np.isfinite(e).all() for e in self.efield),
+            lambda: any(np.any(eps * _intensity(e) > 0.0) for eps, e in zip(self.eps, self.efield)),
+        )
 
     def energy_density(self) -> np.ndarray:
         """eps(r) |E(r)|^2 per voxel (unnormalized)."""
         return self.eps * _intensity(self.efield)
-
-    def dielectric_mask(self) -> np.ndarray:
-        return self.eps > DIELECTRIC_EPS_THRESHOLD
 
 
 @dataclass
@@ -161,41 +198,91 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
+# slab sources and the reducer
+#
+# A slab source is a pair (head, slabs): ``head`` maps the names of
+# ``_HEAD`` to the grid's eps (C order) and metadata, and ``slabs`` yields
+# the field of z-slab k = 0 .. nz-1 as an (nx, ny, 3) complex array, which
+# may be a view that the next slab overwrites.
+
+
+def _grid_slabs(grid: FieldGrid):
+    """The slab source of an in-memory grid; each slab is a view into it."""
+    head = {name: getattr(grid, name) for name in _HEAD}
+    return head, (grid.efield[:, :, k] for k in range(grid.shape[2]))
+
+
+def _build(head, slabs) -> FieldGrid:
+    """The ``FieldGrid`` of a slab source, checked on construction."""
+    efield = np.empty(head["eps"].shape + (3,), dtype=complex)
+    for k, slab in enumerate(slabs):
+        efield[:, :, k] = slab
+    return FieldGrid(efield=efield, **head)
+
+
+def _checked(head, slabs):
+    """Yield every slab, then run the ``FieldGrid`` checks on what was yielded."""
+    finite, nonzero = True, False
+    for slab in slabs:
+        finite = finite and bool(np.isfinite(slab).all())
+        # eps >= 1 - 1e-9 when this is asked, so eps |E|^2 > 0 wherever |E|^2 > 0
+        nonzero = nonzero or bool(_intensity(slab).max() > 0.0)
+        yield slab
+    _check_grid(head, lambda: finite, lambda: nonzero)
+
+
+@dataclass
+class _Reduced(_Voxels):
+    """A checked grid reduced to floats: eps, |E|^2 and, for a fixed dipole axis, |u . E|."""
+
+    eps: np.ndarray
+    intensity: np.ndarray
+    amplitude: np.ndarray | None
+    dx: float
+    dy: float
+    dz: float
+    origin: np.ndarray
+    wavelength: float
+    n_ref: float
+
+
+def _reduce(head, slabs, axis: np.ndarray | None = None) -> _Reduced:
+    """Reduce a slab source to C-order (nx, ny, nz) float arrays, one slab at a time.
+
+    The arrays keep the layout and expressions of whole-grid arithmetic,
+    so every sum and maximum taken from them has the same bits.
+    """
+    shape = head["eps"].shape
+    intensity = np.empty(shape)
+    amplitude = None if axis is None else np.empty(shape)
+    for k, slab in enumerate(_checked(head, slabs)):
+        intensity[:, :, k] = _intensity(slab)
+        if amplitude is not None:
+            amplitude[:, :, k] = np.abs(np.tensordot(slab, axis.astype(complex), axes=([2], [0])))
+    return _Reduced(intensity=intensity, amplitude=amplitude, **head)
+
+
+# ---------------------------------------------------------------------------
 # binary I/O
 
 _HEADER = struct.Struct("<11d")
 _PREFIX_SIZE = 4 + 2 + _HEADER.size  # magic, version, header
 
 
-def _file_slab(efield: np.ndarray, k: int) -> np.ndarray:
-    """Field values of z-slab k as a (ny, nx, 3) view, in file order."""
-    return efield[:, :, k, :].transpose(1, 0, 2)
+def _read_fgrd(path):
+    """The slab source of a ``.fgrd`` file: the one reader of the binary format.
+
+    The header and the file size are checked before any payload is read,
+    and eps is read whole. The field is read on demand, one z-slab at a
+    time, into a single buffer whose (nx, ny, 3) view is the slab; the
+    file stays open until the last slab has been read.
+    """
+    reader = _fgrd_reader(path)
+    return next(reader), reader
 
 
-def save_grid_binary(grid: FieldGrid, path) -> None:
-    nx, ny, nz = grid.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(
-            _HEADER.pack(
-                float(nx),
-                float(ny),
-                float(nz),
-                grid.dx,
-                grid.dy,
-                grid.dz,
-                *grid.origin,
-                grid.wavelength,
-                grid.n_ref,
-            )
-        )
-        fh.write(np.asarray(grid.eps, dtype="<f8").tobytes(order="F"))
-        for k in range(nz):
-            fh.write(np.ascontiguousarray(_file_slab(grid.efield, k), dtype="<c16"))
-
-
-def load_grid_binary(path) -> FieldGrid:
+def _fgrd_reader(path):
+    """Yield the head of a ``.fgrd`` file, then the field of each z-slab."""
     with open(path, "rb") as fh:
         raw = fh.read(_PREFIX_SIZE)
         if len(raw) < _PREFIX_SIZE:
@@ -228,24 +315,56 @@ def load_grid_binary(path) -> FieldGrid:
             raise GridFormatError(f"{path}: non-finite values in payload")
         # C-contiguous arrays keep reductions bit-identical to freshly built grids.
         eps = np.ascontiguousarray(eps.reshape((nx, ny, nz), order="F"))
-        efield = np.empty((nx, ny, nz, 3), dtype=complex)
-        slab = np.empty((ny, nx, 3), dtype="<c16")
-        for k in range(nz):
+        yield {
+            "eps": eps,
+            "dx": dx,
+            "dy": dy,
+            "dz": dz,
+            "origin": np.array([ox, oy, oz]),
+            "wavelength": wavelength,
+            "n_ref": n_ref,
+        }
+        slab = np.empty((ny, nx, 3), dtype="<c16")  # file order: x fastest
+        for _ in range(nz):
             if fh.readinto(slab) != slab.nbytes:
                 raise GridFormatError(f"{path}: file shrank while reading")
             if not np.all(np.isfinite(slab)):
                 raise GridFormatError(f"{path}: non-finite values in payload")
-            _file_slab(efield, k)[...] = slab
-    return FieldGrid(
-        eps=eps,
-        efield=efield,
-        dx=dx,
-        dy=dy,
-        dz=dz,
-        origin=np.array([ox, oy, oz]),
-        wavelength=wavelength,
-        n_ref=n_ref,
-    )
+            yield slab.transpose(1, 0, 2)
+
+
+def _write_fgrd(head, slabs, path) -> None:
+    eps = head["eps"]
+    nx, ny, nz = eps.shape
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<H", VERSION))
+        fh.write(
+            _HEADER.pack(
+                float(nx),
+                float(ny),
+                float(nz),
+                head["dx"],
+                head["dy"],
+                head["dz"],
+                *head["origin"],
+                head["wavelength"],
+                head["n_ref"],
+            )
+        )
+        # x-fastest order is z-slab after z-slab, each (ny, nx) in C order
+        for k in range(nz):
+            fh.write(np.ascontiguousarray(eps[:, :, k].T, dtype="<f8"))
+        for slab in slabs:
+            fh.write(np.ascontiguousarray(slab.transpose(1, 0, 2), dtype="<c16"))
+
+
+def save_grid_binary(grid: FieldGrid, path) -> None:
+    _write_fgrd(*_grid_slabs(grid), path)
+
+
+def load_grid_binary(path) -> FieldGrid:
+    return _build(*_read_fgrd(path))
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +373,26 @@ def load_grid_binary(path) -> FieldGrid:
 CSV_COLUMNS = ["x", "y", "z", "eps", "Ex_re", "Ex_im", "Ey_re", "Ey_im", "Ez_re", "Ez_im"]
 
 
+def _write_csv(head, slabs, path) -> None:
+    eps = head["eps"]
+    nx, ny, nz = eps.shape
+    xs, ys, zs = _voxel_axes(head["origin"], (head["dx"], head["dy"], head["dz"]), eps.shape)
+    table = np.empty((nx * ny, len(CSV_COLUMNS)))
+    table[:, 0] = np.tile(xs, ny)
+    table[:, 1] = np.repeat(ys, nx)
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for k, slab in enumerate(slabs):
+            table[:, 2] = zs[k]
+            table[:, 3] = eps[:, :, k].ravel(order="F")
+            e_flat = slab.reshape(-1, 3, order="F")
+            table[:, 4::2] = e_flat.real
+            table[:, 5::2] = e_flat.imag
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+
+
 def save_grid_csv(grid: FieldGrid, path) -> None:
-    xs, ys, zs = grid.axes()
-    nx, ny, nz = grid.shape
-    n_vox = nx * ny * nz
-    table = np.empty((n_vox, len(CSV_COLUMNS)))
-    table[:, 0] = np.tile(xs, ny * nz)
-    table[:, 1] = np.tile(np.repeat(ys, nx), nz)
-    table[:, 2] = np.repeat(zs, nx * ny)
-    table[:, 3] = grid.eps.ravel(order="F")
-    e_flat = grid.efield.reshape(-1, 3, order="F")
-    table[:, 4::2] = e_flat.real
-    table[:, 5::2] = e_flat.imag
-    np.savetxt(
-        path,
-        table,
-        fmt="%.17g",
-        delimiter=",",
-        header=",".join(CSV_COLUMNS),
-        comments="",
-    )
+    _write_csv(*_grid_slabs(grid), path)
 
 
 def _infer_axis(values: np.ndarray, name: str, path) -> tuple[int, float, float]:
@@ -289,8 +408,8 @@ def _infer_axis(values: np.ndarray, name: str, path) -> tuple[int, float, float]
     return n, step, float(unique[0])
 
 
-def load_grid_csv(path, wavelength: float, n_ref: float) -> FieldGrid:
-    """Read the CSV encoding; wavelength and n_ref are not stored in it."""
+def _read_csv(path, wavelength: float, n_ref: float):
+    """The slab source of a CSV grid; the table is parsed and checked whole."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -331,30 +450,57 @@ def load_grid_csv(path, wavelength: float, n_ref: float) -> FieldGrid:
     if not np.allclose(data[:, :3], expect, rtol=1e-9, atol=1e-12 * max(dx, dy, dz)):
         raise GridFormatError(f"{path}: voxel rows are not in x-fastest order")
 
-    eps = np.ascontiguousarray(data[:, 3].reshape((nx, ny, nz), order="F"))
-    efield = np.ascontiguousarray(
-        (data[:, 4::2] + 1j * data[:, 5::2]).reshape((nx, ny, nz, 3), order="F")
-    )
-    return FieldGrid(
-        eps=eps,
-        efield=efield,
-        dx=dx,
-        dy=dy,
-        dz=dz,
-        origin=np.array([x0 - 0.5 * dx, y0 - 0.5 * dy, z0 - 0.5 * dz]),
-        wavelength=wavelength,
-        n_ref=n_ref,
-    )
+    head = {
+        "eps": np.ascontiguousarray(data[:, 3].reshape((nx, ny, nz), order="F")),
+        "dx": dx,
+        "dy": dy,
+        "dz": dz,
+        "origin": np.array([x0 - 0.5 * dx, y0 - 0.5 * dy, z0 - 0.5 * dz]),
+        "wavelength": wavelength,
+        "n_ref": n_ref,
+    }
+    rows = data.reshape((nz, nx * ny, len(CSV_COLUMNS)))
+    return head, ((r[:, 4::2] + 1j * r[:, 5::2]).reshape((nx, ny, 3), order="F") for r in rows)
+
+
+def load_grid_csv(path, wavelength: float, n_ref: float) -> FieldGrid:
+    """Read the CSV encoding; wavelength and n_ref are not stored in it."""
+    return _build(*_read_csv(path, wavelength, n_ref))
+
+
+def _grid_format(path, fmt: str | None) -> str:
+    return fmt or ("csv" if str(path).endswith(".csv") else "fgrd")
+
+
+def _write_grid(head, slabs, path, fmt: str | None = None) -> None:
+    fmt = _grid_format(path, fmt)
+    if fmt == "fgrd":
+        _write_fgrd(head, slabs, path)
+    elif fmt == "csv":
+        _write_csv(head, slabs, path)
+    else:
+        raise ValueError(f"unknown grid format {fmt!r}")
 
 
 def save_grid(grid: FieldGrid, path, fmt: str | None = None) -> None:
-    fmt = fmt or ("csv" if str(path).endswith(".csv") else "fgrd")
+    _write_grid(*_grid_slabs(grid), path, fmt)
+
+
+def _grid_source(
+    path,
+    fmt: str | None = None,
+    wavelength: float | None = None,
+    n_ref: float | None = None,
+):
+    """The slab source of a grid file, given ``load_grid``'s arguments."""
+    fmt = _grid_format(path, fmt)
     if fmt == "fgrd":
-        save_grid_binary(grid, path)
-    elif fmt == "csv":
-        save_grid_csv(grid, path)
-    else:
-        raise ValueError(f"unknown grid format {fmt!r}")
+        return _read_fgrd(path)
+    if fmt == "csv":
+        if wavelength is None or n_ref is None:
+            raise ValueError("loading a CSV grid requires wavelength and n_ref")
+        return _read_csv(path, wavelength, n_ref)
+    raise ValueError(f"unknown grid format {fmt!r}")
 
 
 def load_grid(
@@ -363,14 +509,22 @@ def load_grid(
     wavelength: float | None = None,
     n_ref: float | None = None,
 ) -> FieldGrid:
-    fmt = fmt or ("csv" if str(path).endswith(".csv") else "fgrd")
-    if fmt == "fgrd":
-        return load_grid_binary(path)
-    if fmt == "csv":
-        if wavelength is None or n_ref is None:
-            raise ValueError("loading a CSV grid requires wavelength and n_ref")
-        return load_grid_csv(path, wavelength, n_ref)
-    raise ValueError(f"unknown grid format {fmt!r}")
+    return _build(*_grid_source(path, fmt, wavelength, n_ref))
+
+
+def _save_checked(head, slabs, path) -> None:
+    """Write a slab source that no ``FieldGrid`` has checked, checking it on the way.
+
+    The file goes to ``path + ".part"`` and replaces ``path`` only once
+    every check has passed, so a source that fails leaves ``path`` as it was.
+    """
+    part = f"{path}.part"
+    try:
+        _write_grid(head, _checked(head, slabs), part, _grid_format(path, None))
+        os.replace(part, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +548,18 @@ def mode_volume(grid: FieldGrid) -> ModeVolumeResult:
     in C order, and the numpy pairwise summation keeps the result
     independent of threading and evaluation order.
     """
-    return _mode_volume(grid, grid.energy_density())
+    return _mode_volume(_reduce(*_grid_slabs(grid)))
 
 
-def _mode_volume(grid: FieldGrid, u: np.ndarray) -> ModeVolumeResult:
+def _mode_volume(red: _Reduced) -> ModeVolumeResult:
+    u = red.eps * red.intensity
     flat_idx = int(np.argmax(u))
     peak = float(u.ravel()[flat_idx])
     idx = np.unravel_index(flat_idx, u.shape)
-    v_m3 = float(u.sum() * grid.voxel_volume / peak)
-    xs, ys, zs = grid.axes()
+    v_m3 = float(u.sum() * red.voxel_volume / peak)
+    xs, ys, zs = red.axes()
     pos = (float(xs[idx[0]]), float(ys[idx[1]]), float(zs[idx[2]]))
-    unit = (grid.wavelength / grid.n_ref) ** 3
+    unit = (red.wavelength / red.n_ref) ** 3
     return ModeVolumeResult(
         v_m3=v_m3,
         v_norm=v_m3 / unit,
@@ -424,26 +579,31 @@ def g_field(
     its peak over the whole grid equals ``g_from_mode_volume`` for an
     aligned dipole; a fixed dipole axis only lowers it.
     """
+    return _g_field(_reduce(*_grid_slabs(grid), dipole.axis), dipole, omega)
+
+
+def _g_field(red: _Reduced, dipole: DipoleSpec, omega: float | None = None) -> ScalarField:
+    """``g_field`` of a grid reduced for ``dipole.axis``."""
     if omega is None:
-        omega = 2.0 * math.pi * SPEED_OF_LIGHT / grid.wavelength
-    intensity = _intensity(grid.efield)
-    vres = _mode_volume(grid, grid.eps * intensity)
-    axis = dipole.axis
-    if axis is None:
-        amplitude = np.sqrt(intensity)
-    else:
-        amplitude = np.abs(np.tensordot(grid.efield, axis.astype(complex), axes=([3], [0])))
+        omega = 2.0 * math.pi * SPEED_OF_LIGHT / red.wavelength
+    g_max = g_from_mode_volume(_mode_volume(red).v_m3, dipole, omega)
     # sqrt is monotone, so this equals the maximum of sqrt(intensity) exactly
-    e_max = math.sqrt(float(intensity.max()))
+    e_max = math.sqrt(float(red.intensity.max()))
+    if red.amplitude is None:
+        values = np.sqrt(red.intensity)
+        values *= g_max
+    else:
+        values = red.amplitude * g_max
+    values /= e_max
     return ScalarField(
-        values=g_from_mode_volume(vres.v_m3, dipole, omega) * amplitude / e_max,
-        dielectric_mask=grid.dielectric_mask(),
-        dx=grid.dx,
-        dy=grid.dy,
-        dz=grid.dz,
-        origin=grid.origin.copy(),
-        wavelength=grid.wavelength,
-        n_ref=grid.n_ref,
+        values=values,
+        dielectric_mask=red.dielectric_mask(),
+        dx=red.dx,
+        dy=red.dy,
+        dz=red.dz,
+        origin=red.origin.copy(),
+        wavelength=red.wavelength,
+        n_ref=red.n_ref,
     )
 
 
@@ -518,8 +678,8 @@ ULTRA_CONFINED_SYNTH_SPEC = SynthModeSpec(
 )
 
 
-def synth_mode(spec: SynthModeSpec) -> FieldGrid:
-    """Evaluate the synthetic mode of ``SynthModeSpec`` on its voxel grid."""
+def _synth_source(spec: SynthModeSpec):
+    """The slab source of the synthetic mode of ``spec``; each slab is fresh."""
     lx, ly, lz = spec.size
     nx, ny, nz = (int(n) for n in spec.shape)
     dx, dy, dz = lx / nx, ly / ny, lz / nz
@@ -537,24 +697,36 @@ def synth_mode(spec: SynthModeSpec) -> FieldGrid:
     in_hole_window = folded <= spec.hole_half_length
     hole = beam & in_hole_window & (np.abs(y) > spec.bridge_half_width)
     dielectric = beam & ~hole
+    head = {
+        "eps": np.where(dielectric, spec.eps_dielectric, 1.0),
+        "dx": dx,
+        "dy": dy,
+        "dz": dz,
+        "origin": origin,
+        "wavelength": spec.wavelength,
+        "n_ref": spec.n_ref,
+    }
 
-    ey = np.cos(np.pi * x / spec.period) * np.exp(
-        -(x**2 + y**2 + z**2) / (2.0 * spec.sigma**2)
-    )
-    ey = np.where(dielectric, ey, ey / spec.eps_dielectric)
-    efield = np.zeros((nx, ny, nz, 3), dtype=complex)
-    efield[..., 1] = ey
-    eps = np.where(dielectric, spec.eps_dielectric, 1.0)
-    return FieldGrid(
-        eps=eps,
-        efield=efield,
-        dx=dx,
-        dy=dy,
-        dz=dz,
-        origin=origin,
-        wavelength=spec.wavelength,
-        n_ref=spec.n_ref,
-    )
+    def slabs():
+        # the same expressions, one z-plane at a time, on (y, x) axes: a slab
+        # is then built in file order, and writing it needs no transpose
+        x_t, y_t = xs[None, :], ys[:, None]
+        cos_x = np.cos(np.pi * x_t / spec.period)
+        r2_xy = x_t**2 + y_t**2
+        for k in range(nz):
+            z_k = zs[None, k : k + 1]
+            ey = cos_x * np.exp(-(r2_xy + z_k**2) / (2.0 * spec.sigma**2))
+            ey = np.where(dielectric[:, :, k].T, ey, ey / spec.eps_dielectric)
+            slab = np.zeros((ny, nx, 3), dtype=complex)
+            slab[..., 1] = ey
+            yield slab.transpose(1, 0, 2)
+
+    return head, slabs()
+
+
+def synth_mode(spec: SynthModeSpec) -> FieldGrid:
+    """Evaluate the synthetic mode of ``SynthModeSpec`` on its voxel grid."""
+    return _build(*_synth_source(spec))
 
 
 __all__ = [

@@ -126,7 +126,8 @@ def _parts(
     ))
     half_kappa, half_gamma = 0.5 * kappa, 0.5 * gamma_tot
     leak = half_kappa - kappa_wg
-    delta = np.multiply(probe, math.ldexp(1.0, -exponent))
+    # np.ldexp, not a multiply by 2^-exponent: that factor overflows for subnormal rates
+    delta = np.ldexp(probe, -exponent)
     if g == 0.0:
         return leak, delta, half_kappa, delta.copy()
     # delta - delta_a first: exact near delta_a, where it sets Im P and Im N
@@ -319,6 +320,8 @@ def contrast_curve(
     both spin states reflect less than 1e-12 are excluded from the probe
     optimization.
     """
+    if params.kappa_wg <= 0.0:
+        raise ValueError("reflection requires kappa_wg > 0 (no waveguide port)")
     cavity_detunings = np.asarray(cavity_detunings, dtype=float)
     if cavity_detunings.ndim != 1 or cavity_detunings.size < 1:
         raise ValueError("cavity_detunings must be a non-empty 1-d array")

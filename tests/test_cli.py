@@ -620,3 +620,17 @@ def test_write_table_csv_random_text_matches_csv_writer(tmp_path_factory, rows, 
     }
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     assert _written_csv(path, columns) == _csv_writer_reference(columns)
+
+
+def test_spectrum_at_subnormal_rates_is_finite(tmp_path):
+    # 2^-exponent of a subnormal maximum is above the largest double
+    tiny = {"value": 1e-320, "unit": "GHz"}
+    cfg = {
+        "system": {"g": tiny, "kappa_wg": tiny},
+        "probe": {"start": {"value": -1e-320, "unit": "GHz"}, "stop": tiny, "points": 5},
+    }
+    rc, out = run_cli(tmp_path, "spectrum", cfg)
+    assert rc == 0
+    values = np.array([float(row[1]) for row in read_rows(out / "spectrum.csv")[1:]])
+    assert values.size == 5
+    assert np.all((values >= 0.0) & (values <= 1.0))

@@ -389,3 +389,13 @@ def test_contrast_curve_is_exact_under_power_of_two_scaling():
         np.testing.assert_array_equal(scaled.contrast, base.contrast)
         np.testing.assert_array_equal(scaled.abs_diff, base.abs_diff)
         np.testing.assert_array_equal(scaled.best_probe, np.ldexp(base.best_probe, k))
+
+
+@pytest.mark.parametrize("probe_policy", ["max-contrast", 0.0])
+def test_contrast_curve_without_waveguide_port_is_a_value_error(probe_policy):
+    # the auto probe grid steps by kappa / 50, which is 0 here
+    params = SystemParams(g=6e10, kappa_wg=0.0, gamma=6e8)
+    with pytest.raises(ValueError) as info:
+        contrast_curve(params, SpinConfig(zeeman_split=ghz(1)), np.array([0.0, ghz(1)]),
+                       probe_policy=probe_policy)
+    assert str(info.value) == "reflection requires kappa_wg > 0 (no waveguide port)"
