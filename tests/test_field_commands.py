@@ -157,16 +157,17 @@ def test_in_memory_reductions_match_whole_grid_arithmetic():
 # --- error parity -------------------------------------------------------------------
 
 
-def _small_grid(eps=None, efield=None):
+def _small_grid():
     rng = np.random.default_rng(3)
     shape = (5, 4, 3)
     return FieldGrid(
-        eps=1.0 + rng.random(shape) if eps is None else eps,
-        efield=rng.standard_normal(shape + (3,)) + 0j if efield is None else efield,
+        eps=1.0 + rng.random(shape),
+        efield=rng.standard_normal(shape + (3,)) + 0j,
         dx=1e-9, dy=1e-9, dz=1e-9, origin=np.zeros(3), wavelength=737e-9, n_ref=2.4,
     )
 
 
+# byte offsets of the eps and field payloads of the 5x4x3 grid's .fgrd file
 EPS_AT = 4 + 2 + 11 * 8
 FIELD_AT = EPS_AT + 8 * 60
 
