@@ -359,14 +359,6 @@ def _write_fgrd(head, slabs, path) -> None:
             fh.write(np.ascontiguousarray(slab.transpose(1, 0, 2), dtype="<c16"))
 
 
-def save_grid_binary(grid: FieldGrid, path) -> None:
-    _write_fgrd(*_grid_slabs(grid), path)
-
-
-def load_grid_binary(path) -> FieldGrid:
-    return _build(*_read_fgrd(path))
-
-
 # ---------------------------------------------------------------------------
 # CSV I/O
 
@@ -389,10 +381,6 @@ def _write_csv(head, slabs, path) -> None:
             table[:, 4::2] = e_flat.real
             table[:, 5::2] = e_flat.imag
             np.savetxt(fh, table, fmt="%.17g", delimiter=",")
-
-
-def save_grid_csv(grid: FieldGrid, path) -> None:
-    _write_csv(*_grid_slabs(grid), path)
 
 
 def _infer_axis(values: np.ndarray, name: str, path) -> tuple[int, float, float]:
@@ -461,11 +449,6 @@ def _read_csv(path, wavelength: float, n_ref: float):
     }
     rows = data.reshape((nz, nx * ny, len(CSV_COLUMNS)))
     return head, ((r[:, 4::2] + 1j * r[:, 5::2]).reshape((nx, ny, 3), order="F") for r in rows)
-
-
-def load_grid_csv(path, wavelength: float, n_ref: float) -> FieldGrid:
-    """Read the CSV encoding; wavelength and n_ref are not stored in it."""
-    return _build(*_read_csv(path, wavelength, n_ref))
 
 
 def _grid_format(path, fmt: str | None) -> str:
@@ -552,7 +535,8 @@ def mode_volume(grid: FieldGrid) -> ModeVolumeResult:
 
 
 def _mode_volume(red: _Reduced) -> ModeVolumeResult:
-    u = red.eps * red.intensity
+    u = red.intensity
+    u *= red.eps  # eps |E|^2 in place: the intensity is spent
     flat_idx = int(np.argmax(u))
     peak = float(u.ravel()[flat_idx])
     idx = np.unravel_index(flat_idx, u.shape)
@@ -586,14 +570,11 @@ def _g_field(red: _Reduced, dipole: DipoleSpec, omega: float | None = None) -> S
     """``g_field`` of a grid reduced for ``dipole.axis``."""
     if omega is None:
         omega = 2.0 * math.pi * SPEED_OF_LIGHT / red.wavelength
-    g_max = g_from_mode_volume(_mode_volume(red).v_m3, dipole, omega)
     # sqrt is monotone, so this equals the maximum of sqrt(intensity) exactly
     e_max = math.sqrt(float(red.intensity.max()))
-    if red.amplitude is None:
-        values = np.sqrt(red.intensity)
-        values *= g_max
-    else:
-        values = red.amplitude * g_max
+    values = np.sqrt(red.intensity) if red.amplitude is None else red.amplitude
+    # after e_max and the map: _mode_volume overwrites the intensity
+    values *= g_from_mode_volume(_mode_volume(red).v_m3, dipole, omega)
     values /= e_max
     return ScalarField(
         values=values,
@@ -742,10 +723,6 @@ __all__ = [
     "DIELECTRIC_EPS_THRESHOLD",
     "save_grid",
     "load_grid",
-    "save_grid_binary",
-    "load_grid_binary",
-    "save_grid_csv",
-    "load_grid_csv",
     "mode_volume",
     "g_field",
     "synth_mode",

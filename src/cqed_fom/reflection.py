@@ -35,7 +35,9 @@ delta_a and the rates, so it is computed on them scaled by
 ``params._power_of_two_scaled``, where g^2 cannot overflow.
 
 Spectral drift of the emitter is modelled as a Gaussian convolution of
-the reflectivity spectrum on its (uniform) probe grid.
+the reflectivity spectrum on a uniform probe grid. A caller's probe grid
+is checked once, where it enters (``reflectivity``, ``spin_spectra``,
+``apply_drift``); ``contrast_curve`` trusts the grids that it builds.
 
 Spin readout: the two optical transitions of a spin-1/2 emitter sit at
 ``spin_down_offset`` and ``spin_down_offset + zeeman_split`` relative to
@@ -170,47 +172,46 @@ def _squared_modulus(re: float | np.ndarray, im: np.ndarray) -> np.ndarray:
     return im
 
 
-def reflectivity(
-    params: SystemParams, atom_detuning: float, probe_grid: np.ndarray
-) -> Spectrum:
-    """Power reflectivity R = |N|^2 / |P|^2; passive, so R <= 1 always."""
+def _checked_grid(probe_grid: np.ndarray, drift_sigma: float = 0.0) -> np.ndarray:
+    """A caller's probe grid as floats: 1-d, non-empty, strictly increasing, uniform with drift."""
     probe_grid = np.asarray(probe_grid, dtype=float)
     if probe_grid.ndim != 1 or probe_grid.size < 1:
         raise ValueError("probe_grid must be a non-empty 1-d array")
-    if probe_grid.size > 1 and not np.all(np.diff(probe_grid) > 0.0):
+    if not np.all(probe_grid[1:] > probe_grid[:-1]):
         raise ValueError("probe_grid must be strictly increasing")
-    re_n, im_n, re_p, im_p = _parts(params, atom_detuning, probe_grid)
+    if drift_sigma > 0.0:
+        _check_uniform(probe_grid)
+    return probe_grid
+
+
+def _check_uniform(grid: np.ndarray) -> None:
+    if grid.size < 2:
+        raise ValueError("cannot convolve a single-point spectrum")
+    steps = grid[1:] - grid[:-1]
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("drift convolution requires a uniform probe grid")
+
+
+def _reflectivity(params: SystemParams, atom_detuning: float, grid: np.ndarray) -> np.ndarray:
+    """R = |N|^2 / |P|^2 on a checked grid; passive, so R <= 1 always."""
+    re_n, im_n, re_p, im_p = _parts(params, atom_detuning, grid)
     values = _squared_modulus(re_n, im_n)
     values /= _normal(_squared_modulus(re_p, im_p))
     if values.max() > 1.0 + 1e-9:
         raise ValueError(f"reflectivity {values.max()} exceeds 1 beyond numerical slack")
-    return Spectrum(detunings=probe_grid, values=values)
+    return values
 
 
-def apply_drift(spectrum: Spectrum, drift_sigma: float) -> Spectrum:
-    """Convolve a spectrum with a renormalized Gaussian of width drift_sigma.
+def reflectivity(params: SystemParams, atom_detuning: float, probe_grid: np.ndarray) -> Spectrum:
+    """Power reflectivity R = |N|^2 / |P|^2 on a probe grid that is checked here."""
+    probe_grid = _checked_grid(probe_grid)
+    return Spectrum(probe_grid, _reflectivity(params, atom_detuning, probe_grid))
 
-    The grid must be uniform and fine enough (drift_sigma >= 2 grid steps)
-    for the sampled kernel to be meaningful; the kernel is truncated at
-    +-6 sigma and renormalized on the discrete grid, so a constant
-    spectrum passes through unchanged. Edge handling extends the boundary
-    values, which is exact when the grid spans at least ~8 sigma beyond
-    the last spectral feature. drift_sigma = 0 returns a copy. scipy is
-    imported on the first call.
-    """
+
+def _drift(drift_sigma: float, dx: float, *values: np.ndarray) -> list[np.ndarray]:
+    """Each of ``values`` convolved with one kernel; scipy is imported on the first call."""
     from scipy.ndimage import convolve1d
 
-    if drift_sigma < 0.0 or not np.isfinite(drift_sigma):
-        raise ValueError("drift_sigma must be finite and >= 0")
-    if drift_sigma == 0.0:
-        return Spectrum(spectrum.detunings.copy(), spectrum.values.copy())
-    grid = np.asarray(spectrum.detunings, dtype=float)
-    if grid.size < 2:
-        raise ValueError("cannot convolve a single-point spectrum")
-    steps = np.diff(grid)
-    dx = steps[0]
-    if not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
-        raise ValueError("drift convolution requires a uniform probe grid")
     if drift_sigma < 2.0 * dx:
         raise ValueError(
             f"probe grid too coarse for drift convolution: sigma={drift_sigma:.3e}"
@@ -220,8 +221,38 @@ def apply_drift(spectrum: Spectrum, drift_sigma: float) -> Spectrum:
     offsets = np.arange(-half, half + 1) * dx
     kernel = np.exp(-0.5 * (offsets / drift_sigma) ** 2)
     kernel /= kernel.sum()
-    blurred = convolve1d(spectrum.values, kernel, mode="nearest")
-    return Spectrum(grid.copy(), blurred)
+    return [convolve1d(v, kernel, mode="nearest") for v in values]
+
+
+def apply_drift(spectrum: Spectrum, drift_sigma: float) -> Spectrum:
+    """Convolve a spectrum with a renormalized Gaussian of width drift_sigma.
+
+    The grid must be uniform and fine enough (drift_sigma >= 2 grid steps)
+    for the sampled kernel to be meaningful; it is checked here, on every
+    call. The kernel is truncated at +-6 sigma and renormalized on the
+    discrete grid, so a constant spectrum passes through unchanged. Edge
+    handling extends the boundary values, which is exact when the grid
+    spans at least ~8 sigma beyond the last spectral feature.
+    drift_sigma = 0 returns a copy. scipy is imported on first use.
+    """
+    if drift_sigma < 0.0 or not np.isfinite(drift_sigma):
+        raise ValueError("drift_sigma must be finite and >= 0")
+    if drift_sigma == 0.0:
+        return Spectrum(spectrum.detunings.copy(), spectrum.values.copy())
+    grid = np.asarray(spectrum.detunings, dtype=float)
+    _check_uniform(grid)
+    return Spectrum(grid.copy(), *_drift(drift_sigma, grid[1] - grid[0], spectrum.values))
+
+
+def _spin_pair(
+    params: SystemParams, spin: SpinConfig, grid: np.ndarray
+) -> tuple[Spectrum, Spectrum]:
+    """``spin_spectra`` on a grid it does not check again; one drift kernel serves both states."""
+    down = _reflectivity(params, spin.down_offset - params.delta_ca, grid)
+    up = _reflectivity(params, spin.up_offset - params.delta_ca, grid)
+    if spin.drift_sigma > 0.0:
+        down, up = _drift(spin.drift_sigma, grid[1] - grid[0], down, up)
+    return Spectrum(grid, down), Spectrum(grid, up)
 
 
 def spin_spectra(
@@ -230,17 +261,11 @@ def spin_spectra(
     """Drift-convolved reflectivity spectra for the two spin states.
 
     Returns ``(down, up)``; the two spectra differ only in the transition
-    detuning, which changes by the differential Zeeman splitting.
+    detuning, which changes by the differential Zeeman splitting. The
+    probe grid is checked once, here: as in ``reflectivity`` and, with
+    drift, for at least two points and uniform steps.
     """
-    down_detuning = spin.down_offset - params.delta_ca
-    up_detuning = spin.up_offset - params.delta_ca
-    down = reflectivity(params, down_detuning, probe_grid)
-    up = reflectivity(params, up_detuning, probe_grid)
-    sigma = spin.drift_sigma
-    if sigma > 0.0:
-        down = apply_drift(down, sigma)
-        up = apply_drift(up, sigma)
-    return down, up
+    return _spin_pair(params, spin, _checked_grid(probe_grid, spin.drift_sigma))
 
 
 def spin_contrast(down: Spectrum, up: Spectrum) -> np.ndarray:
@@ -300,7 +325,9 @@ def _auto_probe_grid(params: SystemParams, spin: SpinConfig) -> np.ndarray:
             "reflection out of double range: the rates are too large for a probe grid"
             " (its width overflows)"
         ) from None
-    return np.linspace(-0.5 * width, 0.5 * width, n)
+    grid = np.linspace(-0.5 * width, 0.5 * width, n)
+    # uniform to within 1e-9 relative, unless its steps are subnormal
+    return grid if width >= n * sys.float_info.min else _checked_grid(grid, spin.drift_sigma)
 
 
 def contrast_curve(
@@ -314,11 +341,11 @@ def contrast_curve(
     For every detuning the two drift-convolved spin spectra are computed
     and the probe either optimized ("max-contrast", over the
     ``_auto_probe_grid`` of that detuning) or held at a fixed detuning (a
-    float, rad/s, reported as given). A fixed probe is evaluated alone
-    without drift, and with drift at the centre of a 65-point window
-    sigma/4 apart, so that it sees a converged convolution. Points where
-    both spin states reflect less than 1e-12 are excluded from the probe
-    optimization.
+    float, rad/s, reported as given). A fixed probe, at any distance from
+    0, is evaluated alone without drift, and with drift at the centre of a
+    65-point window sigma/4 apart, where the convolution has converged.
+    Neither grid is checked per detuning. Points where both spin states
+    reflect less than 1e-12 are excluded from the probe optimization.
     """
     if params.kappa_wg <= 0.0:
         raise ValueError("reflection requires kappa_wg > 0 (no waveguide port)")
@@ -331,6 +358,7 @@ def contrast_curve(
         centre = 32 if sigma > 0.0 else 0  # +-8 sigma: the convolution converges at the centre
         fixed_grid = fixed_probe + np.arange(-centre, centre + 1) * (sigma / 4.0)
         fixed_grid[centre] = fixed_probe  # the probe as given: -0.0 + 0.0 would be +0.0
+        _checked_grid(fixed_grid)  # once: a drift below the probe's float resolution collapses it
     elif probe_policy != "max-contrast":
         raise ValueError(f"unknown probe policy {probe_policy!r}")
 
@@ -340,17 +368,12 @@ def contrast_curve(
     for k, delta in enumerate(cavity_detunings):
         here = replace(params, delta_ca=float(delta))
         grid = _auto_probe_grid(here, spin) if fixed_grid is None else fixed_grid
-        down, up = spin_spectra(here, spin, grid)
+        down, up = _spin_pair(here, spin, grid)
         c = spin_contrast(down, up)
         j = int(np.argmax(c)) if fixed_grid is None else centre
         best_probe[k], contrast[k] = grid[j], c[j]
         abs_diff[k] = abs(down.values[j] - up.values[j])
-    return ContrastCurve(
-        cavity_detunings=cavity_detunings,
-        best_probe=best_probe,
-        contrast=contrast,
-        abs_diff=abs_diff,
-    )
+    return ContrastCurve(cavity_detunings, best_probe, contrast, abs_diff)
 
 
 __all__ = [

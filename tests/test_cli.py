@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cqed_fom import cli
 from cqed_fom.errors import NonConvergedError
-from cqed_fom.fieldgrid import g_field, load_grid_binary, mode_volume, synth_mode
+from cqed_fom.fieldgrid import g_field, load_grid, mode_volume, synth_mode
 from cqed_fom.config import parse_config
 from cqed_fom.units import to_ghz
 
@@ -223,6 +223,47 @@ def test_contrast_outputs_bounded_column(tmp_path):
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
+def test_contrast_with_a_far_fixed_probe_and_narrow_drift(tmp_path):
+    # far from 0 the steps of the window around the probe differ by more than 1e-9 relative
+    cfg = dict(CONTRAST_CFG, spin={"zeeman_split": {"value": 1, "unit": "GHz"},
+                                   "drift": {"value": 1, "unit": "MHz"}})
+    cfg["contrast"] = dict(cfg["contrast"], probe_policy={"value": 1500, "unit": "GHz"})
+    rc, out = run_cli(tmp_path, "contrast", cfg)
+    assert rc == 0
+    rows = read_rows(out / "contrast.csv")[1:]
+    assert len(rows) == 12 and all(float(r[1]) == 1500.0 for r in rows)
+
+
+# --- known faults 1 and 2: the probe grids of `reflection` -----------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="apply_drift checks uniformity to rtol 1e-9, which a linspace 1500 GHz from 0"
+    " with 40001 points misses",
+)
+def test_readme_reflection_config_at_40001_points(tmp_path):
+    cfg = dict(SPECTRUM_CFG, probe=dict(SPECTRUM_CFG["probe"], points=40001))
+    rc, _ = run_cli(tmp_path, "spectrum", cfg)
+    assert rc == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_auto_probe_grid caps the grid at 500k points, which leaves its step above"
+    " sigma / 2 at large detunings with a narrow drift",
+)
+def test_contrast_at_large_detuning_with_narrow_drift(tmp_path):
+    cfg = {
+        "system": CONTRAST_CFG["system"],
+        "spin": {"zeeman_split": {"value": 1, "unit": "GHz"}, "drift": {"value": 10, "unit": "MHz"}},
+        "contrast": {"start": {"value": 1400, "unit": "GHz"}, "stop": {"value": 1500, "unit": "GHz"},
+                     "points": 3},
+    }
+    rc, _ = run_cli(tmp_path, "contrast", cfg)
+    assert rc == 0
+
+
 def test_synth_field_then_modevol_matches_library(tmp_path):
     rc, out = run_cli(tmp_path, "synth-field", FIELD_CFG)
     assert rc == 0
@@ -241,7 +282,7 @@ def test_synth_field_then_modevol_matches_library(tmp_path):
     assert row["V_m3"] == expected.v_m3
     assert row["V_lambda_n3"] == expected.v_norm
 
-    grid = load_grid_binary(grid_path)
+    grid = load_grid(grid_path, fmt="fgrd")
     np.testing.assert_array_equal(grid.eps, synth_mode(spec).eps)
 
 

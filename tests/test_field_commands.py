@@ -68,6 +68,22 @@ def test_field_commands_never_hold_the_complex_field(tmp_path, command):
     assert peak / math.prod(shape) < 40.0
 
 
+def test_modevol_forms_the_energy_density_in_place(tmp_path):
+    # eps and |E|^2 are 16 B per voxel; eps |E|^2 overwrites |E|^2 instead of a third array
+    shape = [60, 40, 30]
+    grid = tmp_path / "m.fgrd"
+    assert _run(tmp_path, "synth-field", {"synth": {"preset": "default", "shape": shape,
+                                                    "output": str(grid)}})[0] == 0
+    tracemalloc.start()
+    try:
+        rc, _ = _run(tmp_path, "modevol", {"grid": {"path": str(grid)}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak / math.prod(shape) < 21.0
+
+
 # --- output parity with the FieldGrid path ----------------------------------------
 
 

@@ -19,10 +19,8 @@ from cqed_fom.fieldgrid import (
     SynthModeSpec,
     g_field,
     load_grid,
-    load_grid_csv,
     mode_volume,
     save_grid,
-    save_grid_csv,
     synth_mode,
 )
 from cqed_fom.fom import g_from_mode_volume
@@ -154,15 +152,15 @@ def test_csv_round_trip_keeps_voxel_steps_exact(tmp_path, spec, axis):
         n_ref=spec.n_ref,
     )
     path = tmp_path / "m.csv"
-    save_grid_csv(grid, path)
-    back = load_grid_csv(path, spec.wavelength, spec.n_ref)
+    save_grid(grid, path, fmt="csv")
+    back = load_grid(path, fmt="csv", wavelength=spec.wavelength, n_ref=spec.n_ref)
     assert (back.dx, back.dy, back.dz)[axis] == steps[axis]
 
 
 def test_csv_loader_requires_metadata(tmp_path):
     g = _uniform_grid()
     path = tmp_path / "m.csv"
-    save_grid_csv(g, path)
+    save_grid(g, path, fmt="csv")
     with pytest.raises(ValueError, match="wavelength"):
         load_grid(path)
 
@@ -199,18 +197,18 @@ def test_csv_loader_rejects_bad_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(GridFormatError, match="header"):
-        load_grid_csv(path, 737e-9, 2.4)
+        load_grid(path, fmt="csv", wavelength=737e-9, n_ref=2.4)
 
 
 def test_csv_loader_rejects_shuffled_rows(tmp_path):
     g = _uniform_grid()
     path = tmp_path / "m.csv"
-    save_grid_csv(g, path)
+    save_grid(g, path, fmt="csv")
     lines = path.read_text().splitlines()
     lines[1], lines[2] = lines[2], lines[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GridFormatError, match="order"):
-        load_grid_csv(path, 737e-9, 2.4)
+        load_grid(path, fmt="csv", wavelength=737e-9, n_ref=2.4)
 
 
 def test_save_grid_rejects_unknown_format(tmp_path):

@@ -344,13 +344,25 @@ def _drifted_reflectivity(params, delta_a, probe, sigma):
     return value
 
 
-def test_contrast_curve_fixed_probe_with_drift_matches_gaussian_average():
+@pytest.mark.parametrize(
+    "probe_ghz,drift_mhz,detunings_ghz,floor",
+    [
+        (-101.5, 50.0, (95.0, 100.0, 105.0), 0.1),
+        # far from 0 the window's steps differ by more than 1e-9 relative
+        (-1500.07, 1.0, (1499.0, 1499.5, 1500.0), 5e-3),
+        (-300.3, 0.1, (299.5, 300.0, 300.5), 0.1),
+    ],
+    ids=["near", "1500GHz-1MHz", "300GHz-0.1MHz"],
+)
+def test_contrast_curve_fixed_probe_with_drift_matches_gaussian_average(
+    probe_ghz, drift_mhz, detunings_ghz, floor
+):
     # the 65-point window sigma/4 apart against quadrature of the closed form;
-    # 1e-4 is the benchmark's contrast tolerance; the measured error is 1.8e-10
+    # 1e-4 is the benchmark's contrast tolerance; the measured error is at most 1.8e-10
     params = SystemParams(g=ghz(10), kappa_wg=ghz(10), gamma=mhz(100))
-    spin = SpinConfig(zeeman_split=ghz(1), drift=mhz(50))
-    detunings = np.linspace(ghz(95), ghz(105), 3)
-    probe = -ghz(101.5)
+    spin = SpinConfig(zeeman_split=ghz(1), drift=mhz(drift_mhz))
+    detunings = ghz(np.array(detunings_ghz))
+    probe = ghz(probe_ghz)
     curve = contrast_curve(params, spin, detunings, probe_policy=probe)
     for k, delta in enumerate(detunings):
         here = replace(params, delta_ca=delta)
@@ -361,7 +373,19 @@ def test_contrast_curve_fixed_probe_with_drift_matches_gaussian_average():
         assert curve.best_probe[k] == probe
         assert curve.abs_diff[k] == pytest.approx(abs(down - up), rel=0.0, abs=1e-4)
         assert curve.contrast[k] == pytest.approx(abs(down - up) / (down + up), rel=0.0, abs=1e-4)
-    assert curve.contrast.max() > 0.1
+    assert curve.contrast.max() > floor  # the probe sits on a spin-dependent dip
+
+
+def test_contrast_curve_rejects_grids_below_float_resolution():
+    # contrast_curve trusts its own grids, but not where their steps fall below the
+    # resolution of a double: around a probe far beyond the drift, or subnormal steps
+    params = SystemParams(g=ghz(10), kappa_wg=ghz(10), gamma=mhz(100))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        contrast_curve(params, SpinConfig(zeeman_split=ghz(1), drift=1e-6), np.array([ghz(1500)]),
+                       probe_policy=-ghz(1500))
+    tiny = SystemParams(g=1e-310, kappa_wg=1e-310, gamma=1e-310)
+    with pytest.raises(ValueError, match="uniform probe grid"):
+        contrast_curve(tiny, SpinConfig(zeeman_split=1e-310, drift=1e-310), np.array([0.0]))
 
 
 @pytest.mark.parametrize("drift", [0.0, mhz(50)])
