@@ -239,7 +239,7 @@ def test_contrast_with_a_far_fixed_probe_and_narrow_drift(tmp_path):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="apply_drift checks uniformity to rtol 1e-9, which a linspace 1500 GHz from 0"
+    reason="spin_spectra checks uniformity to rtol 1e-9, which a linspace 1500 GHz from 0"
     " with 40001 points misses",
 )
 def test_readme_reflection_config_at_40001_points(tmp_path):
